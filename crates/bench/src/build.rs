@@ -87,29 +87,3 @@ pub fn build_home(scale: f64, seed: u64) -> BuiltVolume {
 pub fn build_rlse(scale: f64, seed: u64) -> BuiltVolume {
     build(VolumeProfile::rlse(scale), scale, seed)
 }
-
-/// Parses `--scale X` (fraction of paper size) and `--seed N` from argv,
-/// with defaults chosen to finish in a couple of minutes.
-pub fn cli_scale_seed(default_scale: f64) -> (f64, u64) {
-    let args: Vec<String> = std::env::args().collect();
-    let mut scale = default_scale;
-    let mut seed = 1999;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" if i + 1 < args.len() => {
-                scale = args[i + 1].parse().expect("--scale takes a number");
-                i += 2;
-            }
-            "--seed" if i + 1 < args.len() => {
-                seed = args[i + 1].parse().expect("--seed takes an integer");
-                i += 2;
-            }
-            other => {
-                eprintln!("ignoring unknown argument {other:?}");
-                i += 1;
-            }
-        }
-    }
-    (scale, seed)
-}

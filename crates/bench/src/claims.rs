@@ -9,9 +9,9 @@
 //! non-zero when any claim fails — the qualitative sibling of the
 //! quantitative `benchdiff` gate.
 //!
-//! The file is the same hand-rolled TOML dialect as `faults.toml` and
-//! `simlint.toml`: `[[claim]]` array-of-table headers followed by
-//! `key = value` lines.
+//! The file is the workspace's TOML dialect ([`simkit::toml`], shared
+//! with `faults.toml` and `simlint.toml`): `[[claim]]` array-of-table
+//! headers followed by `key = value` lines.
 //!
 //! ```toml
 //! [[claim]]
@@ -40,6 +40,11 @@ use std::collections::BTreeMap;
 use obs::attrib::class_matches;
 use obs::AttribReport;
 use obs::SweepReport;
+use simkit::toml;
+use simkit::toml::Item;
+use simkit::toml::Kind;
+use simkit::toml::TomlError;
+use simkit::toml::Value;
 
 /// One qualitative claim from `claims.toml`.
 #[derive(Debug, Clone, PartialEq)]
@@ -110,120 +115,78 @@ impl Claim {
     }
 }
 
-/// Errors from [`parse`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum ClaimsError {
-    /// A line (or a finished `[[claim]]` entry) failed to parse.
-    Parse {
-        /// 1-based line number.
-        line: usize,
-        /// What went wrong.
-        reason: String,
-    },
-}
+/// Errors from [`parse`]: the offending line (for a finished
+/// `[[claim]]` entry, its header's) and why.
+pub type ClaimsError = TomlError;
 
-impl std::fmt::Display for ClaimsError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ClaimsError::Parse { line, reason } => write!(f, "claims line {line}: {reason}"),
-        }
-    }
-}
-
-impl std::error::Error for ClaimsError {}
-
-/// Strips a `#` comment, ignoring `#` inside double quotes.
-fn strip_comment(raw: &str) -> &str {
-    let mut in_quote = false;
-    for (i, c) in raw.char_indices() {
-        match c {
-            '"' => in_quote = !in_quote,
-            '#' if !in_quote => return &raw[..i],
-            _ => {}
-        }
-    }
-    raw
-}
-
-/// One `[[claim]]` entry mid-parse: its raw key/value pairs plus the
+/// One `[[claim]]` entry mid-parse: its key/value pairs plus the
 /// header's line number for error reporting.
 struct RawClaim {
     line: usize,
-    fields: BTreeMap<String, String>,
+    fields: BTreeMap<String, Value>,
 }
 
 impl RawClaim {
-    fn take(&mut self, key: &str) -> Option<String> {
-        self.fields.remove(key)
+    fn err(&self, reason: String) -> ClaimsError {
+        TomlError::at(self.line, reason)
     }
 
-    fn require(&mut self, key: &str) -> Result<String, ClaimsError> {
-        self.take(key).ok_or(ClaimsError::Parse {
-            line: self.line,
-            reason: format!("claim is missing `{key}`"),
-        })
+    fn required(&mut self, key: &str) -> Result<Value, ClaimsError> {
+        let v = self.fields.remove(key);
+        v.ok_or_else(|| self.err(format!("claim is missing `{key}`")))
+    }
+
+    fn text(&mut self, key: &str) -> Result<String, ClaimsError> {
+        let v = self.required(key)?;
+        let text = v.str().map_err(|e| self.err(format!("`{key}`: {e}")))?;
+        Ok(text.to_string())
     }
 
     fn number(&mut self, key: &str) -> Result<f64, ClaimsError> {
-        let v = self.require(key)?;
-        v.parse::<f64>().map_err(|_| ClaimsError::Parse {
-            line: self.line,
-            reason: format!("bad number for `{key}`: {v}"),
-        })
+        let v = self.required(key)?;
+        v.f64().map_err(|e| self.err(format!("`{key}`: {e}")))
     }
 
     fn build(mut self) -> Result<Claim, ClaimsError> {
-        let table = self.require("table")?;
-        let op = self.require("op")?;
-        let kind_name = self.require("kind")?;
+        let table = self.text("table")?;
+        let op = self.text("op")?;
+        let kind_name = self.text("kind")?;
         let kind = match kind_name.as_str() {
             "binding_share_min" => ClaimKind::BindingShareMin {
-                resource: self.require("resource")?,
+                resource: self.text("resource")?,
                 min: self.number("value")?,
             },
             "binding_share_max" => ClaimKind::BindingShareMax {
-                resource: self.require("resource")?,
+                resource: self.text("resource")?,
                 max: self.number("value")?,
             },
             "dominant" => ClaimKind::Dominant {
-                resource: self.require("resource")?,
+                resource: self.text("resource")?,
             },
+            "crossover" if !table.ends_with("sweep") => {
+                return Err(self.err(format!(
+                    "crossover claims need a sweep table (name ending in \"sweep\"), \
+                     got {table:?}"
+                )))
+            }
             "crossover" => ClaimKind::Crossover {
-                from: self.require("from")?,
-                to: self.require("to")?,
-                by: match self.take("by") {
-                    Some(v) => Some(v.parse::<f64>().map_err(|_| ClaimsError::Parse {
-                        line: self.line,
-                        reason: format!("bad number for `by`: {v}"),
-                    })?),
-                    None => None,
+                from: self.text("from")?,
+                to: self.text("to")?,
+                by: if self.fields.contains_key("by") {
+                    Some(self.number("by")?)
+                } else {
+                    None
                 },
             },
-            other => {
-                return Err(ClaimsError::Parse {
-                    line: self.line,
-                    reason: format!("unknown kind {other:?}"),
-                })
-            }
+            other => return Err(self.err(format!("unknown kind {other:?}"))),
         };
-        if let ClaimKind::Crossover { .. } = kind {
-            if !table.ends_with("sweep") {
-                return Err(ClaimsError::Parse {
-                    line: self.line,
-                    reason: format!(
-                        "crossover claims need a sweep table (name ending in \"sweep\"), \
-                         got {table:?}"
-                    ),
-                });
-            }
-        }
-        let note = self.take("note").unwrap_or_default();
+        let note = if self.fields.contains_key("note") {
+            self.text("note")?
+        } else {
+            String::new()
+        };
         if let Some(stray) = self.fields.keys().next() {
-            return Err(ClaimsError::Parse {
-                line: self.line,
-                reason: format!("unknown key `{stray}` for kind {kind_name:?}"),
-            });
+            return Err(self.err(format!("unknown key `{stray}` for kind {kind_name:?}")));
         }
         Ok(Claim {
             table,
@@ -238,45 +201,32 @@ impl RawClaim {
 pub fn parse(text: &str) -> Result<Vec<Claim>, ClaimsError> {
     let mut claims = Vec::new();
     let mut cur: Option<RawClaim> = None;
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = strip_comment(raw).trim();
-        if line.is_empty() {
-            continue;
-        }
-        if line == "[[claim]]" {
-            if let Some(done) = cur.take() {
-                claims.push(done.build()?);
+    for item in toml::items(text) {
+        let Item { line, kind } = item?;
+        match kind {
+            Kind::ArrayTable("claim") => {
+                if let Some(done) = cur.take() {
+                    claims.push(done.build()?);
+                }
+                cur = Some(RawClaim {
+                    line,
+                    fields: BTreeMap::new(),
+                });
             }
-            cur = Some(RawClaim {
-                line: lineno + 1,
-                fields: BTreeMap::new(),
-            });
-            continue;
-        }
-        let Some((key, value)) = line.split_once('=') else {
-            return Err(ClaimsError::Parse {
-                line: lineno + 1,
-                reason: "expected `key = value` or `[[claim]]`".into(),
-            });
-        };
-        let Some(entry) = cur.as_mut() else {
-            return Err(ClaimsError::Parse {
-                line: lineno + 1,
-                reason: "key outside a [[claim]] entry".into(),
-            });
-        };
-        let key = key.trim().to_string();
-        let value = value.trim();
-        let value = value
-            .strip_prefix('"')
-            .and_then(|v| v.strip_suffix('"'))
-            .unwrap_or(value)
-            .to_string();
-        if entry.fields.insert(key.clone(), value).is_some() {
-            return Err(ClaimsError::Parse {
-                line: lineno + 1,
-                reason: format!("duplicate key `{key}`"),
-            });
+            Kind::Table(name) | Kind::ArrayTable(name) => {
+                return Err(TomlError::at(
+                    line,
+                    format!("unknown table {name:?}, expected [[claim]]"),
+                ))
+            }
+            Kind::Pair(key, value) => {
+                let entry = cur
+                    .as_mut()
+                    .ok_or_else(|| TomlError::at(line, "key outside a [[claim]] entry"))?;
+                if entry.fields.insert(key.to_string(), value).is_some() {
+                    return Err(TomlError::at(line, format!("duplicate key `{key}`")));
+                }
+            }
         }
     }
     if let Some(done) = cur.take() {
@@ -477,11 +427,11 @@ by = 4
     #[test]
     fn parse_errors_carry_line_numbers() {
         let err = parse("[[claim]]\ntable = \"table2\"\n").unwrap_err();
-        assert!(matches!(err, ClaimsError::Parse { line: 1, .. }), "{err}");
+        assert_eq!(err.line, 1, "{err}");
         let err = parse("stray = 1\n").unwrap_err();
-        assert!(matches!(err, ClaimsError::Parse { line: 1, .. }), "{err}");
+        assert_eq!(err.line, 1, "{err}");
         let err = parse("[[claim]]\nwhat\n").unwrap_err();
-        assert!(matches!(err, ClaimsError::Parse { line: 2, .. }), "{err}");
+        assert_eq!(err.line, 2, "{err}");
         // Crossovers only make sense against the sweep.
         let err = parse(
             "[[claim]]\ntable = \"table2\"\nop = \"x\"\nkind = \"crossover\"\nfrom = \"a\"\nto = \"b\"\n",

@@ -1,325 +1,196 @@
 //! The unified `bench` command line: one binary, one subcommand per
-//! experiment, shared flags, and a deterministic parallel runner.
-//!
-//! ```text
-//! bench <experiment> [--scale F] [--seed N] [--out-dir DIR] [--json PATH]
-//! bench all   [--jobs N] [shared flags]     the full experiment matrix
-//! bench chaos [--seeds A,B,C] [--jobs N] [--spec FILE] [--target T] [shared flags]
-//! bench crash [--seeds A,B,C] [--jobs N] [shared flags]
-//! bench benchdiff ...                       the perf-regression gate
-//! bench explain <table> [--check FILE]      bottleneck attribution + claims gate
-//! ```
-//!
-//! Experiments: `tables` (tables 2–5 + scaling off one volume build),
-//! `table1` … `table5`, `net` (tape-vs-network crossover), `scaling`,
-//! `chaos`, `crash`, `degraded`, `concurrent_volumes`, `single_file_cost`,
-//! `incremental_economics`, `ablation_fragmentation`,
-//! `ablation_readahead`.
-//!
-//! `--target <tape|100mbit|1gbit|10gbit>` selects the medium for the
-//! experiments that open one (currently `chaos`), replacing the
-//! per-subcommand drive construction.
+//! [`EXPERIMENTS`] entry, one flag parser, and a deterministic parallel
+//! runner. [`usage`] prints the subcommands and the flags each accepts;
+//! anything else — an unknown name, an unknown or inapplicable flag, a
+//! stray argument — is a usage error (exit status 2).
 //!
 //! Every job — even a single subcommand — runs on a fresh thread through
 //! [`crate::pool`], so thread-local obs state is always virgin and a
 //! parallel `bench all --jobs 8` writes byte-identical artifacts and
-//! stdout to a serial run. `--json PATH` records the per-job wall-clock
-//! manifest (the only place wall time appears; stdout stays deterministic).
+//! stdout to a serial run. (Host wall-clock is measured from outside, by
+//! `benchmarks/run.sh`; stdout stays deterministic.)
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
 
 use crate::pool;
 use crate::pool::Job;
 use crate::pool::JobResult;
-use crate::runners;
-use crate::runners::ChaosCfg;
-use crate::runners::CrashCfg;
+use crate::runners::Experiment;
 use crate::runners::RunCfg;
+use crate::runners::EXPERIMENTS;
 
-/// Parsed shared flags.
-#[derive(Debug, Clone)]
-struct Flags {
-    scale: Option<f64>,
-    seed: Option<u64>,
-    out_dir: PathBuf,
-    jobs: usize,
-    json: Option<PathBuf>,
-    spec: Option<String>,
-    seeds: Option<Vec<u64>>,
-    target: Option<backup_core::Target>,
+/// Everything the command line can say after the subcommand. Each
+/// subcommand accepts a subset of the flags (`RUN_FLAGS`,
+/// `EXPLAIN_FLAGS`, `DIFF_FLAGS`) and reads only those fields.
+#[derive(Debug, Clone, Default)]
+pub struct Args {
+    /// `--scale F`: fraction of the paper's 188 GB.
+    pub scale: Option<f64>,
+    /// `--seed N` (default 1999).
+    pub seed: Option<u64>,
+    /// `--seeds A,B,C`: one job per seed, for the per-seed experiments.
+    pub seeds: Option<Vec<u64>>,
+    /// `--out-dir DIR`; see [`Args::out_dir`].
+    pub out_dir: Option<PathBuf>,
+    /// `--jobs N`: experiments in flight at once (default 1).
+    pub jobs: Option<usize>,
+    /// `--spec FILE`: chaos fault-spec override.
+    pub spec: Option<String>,
+    /// `--target tape|100mbit|1gbit|10gbit`: the medium chaos runs against.
+    pub target: Option<backup_core::Target>,
+    /// `--check FILE`: the claims file `explain` gates on.
+    pub check: Option<PathBuf>,
+    /// `--tolerance PCT`: benchdiff's per-stage relative tolerance
+    /// (default 1.0).
+    pub tolerance_pct: Option<f64>,
+    /// `--bless`: benchdiff copies NEW over BASELINE instead of judging.
+    pub bless: bool,
+    /// `--json PATH`: benchdiff also writes its report(s) as JSON.
+    pub json: Option<PathBuf>,
+    /// `--dir DIR`: benchdiff pairs every baseline under DIR.
+    pub dir: Option<PathBuf>,
+    /// Non-flag arguments, in order.
+    pub positional: Vec<String>,
 }
 
-impl Default for Flags {
-    fn default() -> Self {
-        Flags {
-            scale: None,
-            seed: None,
-            out_dir: runners::default_out_dir(),
-            jobs: 1,
-            json: None,
-            spec: None,
-            seeds: None,
-            target: None,
-        }
+impl Args {
+    /// Where artifacts land: `--out-dir`, else `results`.
+    pub fn out_dir(&self) -> PathBuf {
+        self.out_dir.clone().unwrap_or_else(|| "results".into())
     }
 }
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
-    let mut f = Flags::default();
-    let mut i = 0;
-    while i < args.len() {
-        let need = |i: usize| -> Result<&String, String> {
-            args.get(i + 1)
-                .ok_or_else(|| format!("{} needs a value", args[i]))
-        };
-        match args[i].as_str() {
-            "--scale" => {
-                f.scale = Some(
-                    need(i)?
-                        .parse()
-                        .map_err(|_| "--scale takes a number".to_string())?,
-                );
-                i += 2;
-            }
-            "--seed" => {
-                f.seed = Some(
-                    need(i)?
-                        .parse()
-                        .map_err(|_| "--seed takes an integer".to_string())?,
-                );
-                i += 2;
-            }
-            "--seeds" => {
-                let list = need(i)?
-                    .split(',')
-                    .map(|s| s.trim().parse::<u64>())
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(|_| "--seeds takes a comma-separated integer list".to_string())?;
-                f.seeds = Some(list);
-                i += 2;
-            }
-            "--out-dir" => {
-                f.out_dir = PathBuf::from(need(i)?);
-                i += 2;
-            }
-            "--jobs" => {
-                f.jobs = need(i)?
-                    .parse()
-                    .map_err(|_| "--jobs takes an integer".to_string())?;
-                if f.jobs == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-                i += 2;
-            }
-            "--json" => {
-                f.json = Some(PathBuf::from(need(i)?));
-                i += 2;
-            }
-            "--spec" => {
-                f.spec = Some(need(i)?.clone());
-                i += 2;
-            }
-            "--target" => {
-                let name = need(i)?;
-                f.target = Some(backup_core::Target::parse(name).ok_or_else(|| {
-                    format!("--target takes tape, 100mbit, 1gbit, or 10gbit (got {name:?})")
-                })?);
-                i += 2;
-            }
-            other => {
-                eprintln!("ignoring unknown argument {other:?}");
-                i += 1;
-            }
-        }
-    }
-    Ok(f)
-}
-
-/// The experiments `bench all` runs, with each one's standalone default
-/// scale (`None` = the experiment takes no scale).
-const ALL_MATRIX: &[(&str, Option<f64>)] = &[
-    ("tables", Some(1.0 / 32.0)),
-    ("net", Some(1.0 / 32.0)),
-    ("table1", None),
-    ("chaos", Some(1.0 / 1024.0)),
-    ("crash", None),
-    ("degraded", Some(1.0 / 1024.0)),
-    ("concurrent_volumes", Some(1.0 / 64.0)),
-    ("single_file_cost", Some(1.0 / 128.0)),
-    ("incremental_economics", Some(1.0 / 128.0)),
-    ("ablation_fragmentation", Some(1.0 / 128.0)),
-    ("ablation_readahead", Some(1.0 / 128.0)),
+/// Flags of `bench <experiment>` and `bench all`.
+const RUN_FLAGS: &[&str] = &[
+    "--scale",
+    "--seed",
+    "--seeds",
+    "--jobs",
+    "--out-dir",
+    "--spec",
+    "--target",
 ];
+/// Flags of `bench explain <target>`.
+const EXPLAIN_FLAGS: &[&str] = &["--check", "--scale", "--seed", "--out-dir"];
+/// Flags of `bench benchdiff`.
+const DIFF_FLAGS: &[&str] = &["--tolerance", "--bless", "--json", "--dir"];
 
-fn run_cfg(flags: &Flags, default_scale: f64) -> RunCfg {
-    RunCfg {
-        scale: flags.scale.unwrap_or(default_scale),
-        seed: flags.seed.unwrap_or(1999),
-        out_dir: flags.out_dir.clone(),
+/// The one flag-parsing loop: `allowed` is the subcommand's flag set and
+/// `positionals` how many bare arguments it takes at most.
+fn parse_args(args: &[String], allowed: &[&str], positionals: usize) -> Result<Args, String> {
+    fn value<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+        v.parse().map_err(|_| format!("bad {flag} value: {v}"))
     }
-}
-
-/// Builds the single job for one experiment subcommand. Returns `None`
-/// for unknown names.
-fn experiment_job(name: &str, flags: &Flags) -> Option<Job> {
-    let job = |label: &str, run: Box<dyn FnOnce() -> String + Send + 'static>| Job {
-        label: label.to_string(),
-        run,
-    };
-    Some(match name {
-        "tables" => {
-            let cfg = run_cfg(flags, 1.0 / 32.0);
-            job("tables", Box::new(move || runners::tables(&cfg)))
-        }
-        "table1" => job("table1", Box::new(runners::table1)),
-        "table2" => {
-            let cfg = run_cfg(flags, 1.0 / 32.0);
-            job("table2", Box::new(move || runners::table2(&cfg)))
-        }
-        "table3" => {
-            let cfg = run_cfg(flags, 1.0 / 32.0);
-            job("table3", Box::new(move || runners::table3(&cfg)))
-        }
-        "table4" => {
-            let cfg = run_cfg(flags, 1.0 / 32.0);
-            job("table4", Box::new(move || runners::table4(&cfg)))
-        }
-        "table5" => {
-            let cfg = run_cfg(flags, 1.0 / 32.0);
-            job("table5", Box::new(move || runners::table5(&cfg)))
-        }
-        "net" => {
-            let cfg = run_cfg(flags, 1.0 / 32.0);
-            job("net", Box::new(move || runners::net(&cfg)))
-        }
-        "scaling" => {
-            let cfg = run_cfg(flags, 1.0 / 32.0);
-            job("scaling", Box::new(move || runners::scaling(&cfg)))
-        }
-        "degraded" => {
-            let cfg = run_cfg(flags, 1.0 / 1024.0);
-            job("degraded", Box::new(move || runners::degraded(&cfg)))
-        }
-        "concurrent_volumes" => {
-            let cfg = run_cfg(flags, 1.0 / 64.0);
-            job(
-                "concurrent_volumes",
-                Box::new(move || runners::concurrent_volumes(&cfg)),
-            )
-        }
-        "single_file_cost" => {
-            let cfg = run_cfg(flags, 1.0 / 128.0);
-            job(
-                "single_file_cost",
-                Box::new(move || runners::single_file_cost(&cfg)),
-            )
-        }
-        "incremental_economics" => {
-            let cfg = run_cfg(flags, 1.0 / 128.0);
-            job(
-                "incremental_economics",
-                Box::new(move || runners::incremental_economics(&cfg)),
-            )
-        }
-        "ablation_fragmentation" => {
-            let cfg = run_cfg(flags, 1.0 / 128.0);
-            job(
-                "ablation_fragmentation",
-                Box::new(move || runners::ablation_fragmentation(&cfg)),
-            )
-        }
-        "ablation_readahead" => {
-            let cfg = run_cfg(flags, 1.0 / 128.0);
-            job(
-                "ablation_readahead",
-                Box::new(move || runners::ablation_readahead(&cfg)),
-            )
-        }
-        "chaos" => {
-            let cfg = ChaosCfg {
-                seed: flags.seed.unwrap_or(1999),
-                scale: flags.scale.unwrap_or(1.0 / 1024.0),
-                spec_path: flags.spec.clone(),
-                target: flags.target.unwrap_or_default(),
-                out_dir: flags.out_dir.clone(),
-            };
-            let label = format!("chaos seed={}", cfg.seed);
-            job(&label, Box::new(move || runners::chaos(&cfg)))
-        }
-        "crash" => {
-            let cfg = CrashCfg {
-                seed: flags.seed.unwrap_or(1999),
-                out_dir: flags.out_dir.clone(),
-            };
-            let label = format!("crash seed={}", cfg.seed);
-            job(&label, Box::new(move || runners::crash_consistency(&cfg)))
-        }
-        _ => return None,
-    })
-}
-
-/// One chaos job per seed (the `bench chaos --seeds` matrix).
-fn chaos_jobs(flags: &Flags) -> Vec<Job> {
-    let seeds = match &flags.seeds {
-        Some(s) => s.clone(),
-        None => vec![flags.seed.unwrap_or(1999)],
-    };
-    seeds
-        .into_iter()
-        .map(|seed| {
-            let cfg = ChaosCfg {
-                seed,
-                scale: flags.scale.unwrap_or(1.0 / 1024.0),
-                spec_path: flags.spec.clone(),
-                target: flags.target.unwrap_or_default(),
-                out_dir: flags.out_dir.clone(),
-            };
-            Job {
-                label: format!("chaos seed={seed}"),
-                run: Box::new(move || runners::chaos(&cfg)),
+    let mut a = Args::default();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let flag = arg.as_str();
+        if !flag.starts_with("--") {
+            if a.positional.len() == positionals {
+                return Err(format!("unexpected argument {flag:?}"));
             }
-        })
-        .collect()
+            a.positional.push(arg.clone());
+            continue;
+        }
+        if !allowed.contains(&flag) {
+            return Err(format!("unknown flag: {flag}"));
+        }
+        if flag == "--bless" {
+            a.bless = true;
+            continue;
+        }
+        let v = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+        match flag {
+            "--scale" => a.scale = Some(value(flag, v)?),
+            "--seed" => a.seed = Some(value(flag, v)?),
+            "--seeds" => {
+                let seeds: Result<Vec<u64>, String> =
+                    v.split(',').map(|s| value(flag, s.trim())).collect();
+                a.seeds = Some(seeds?);
+            }
+            "--out-dir" => a.out_dir = Some(PathBuf::from(v)),
+            "--jobs" => match value(flag, v)? {
+                0 => return Err("--jobs must be at least 1".into()),
+                n => a.jobs = Some(n),
+            },
+            "--spec" => a.spec = Some(v.clone()),
+            "--target" => {
+                a.target = Some(backup_core::Target::parse(v).ok_or_else(|| {
+                    format!("--target takes tape, 100mbit, 1gbit, or 10gbit (got {v:?})")
+                })?);
+            }
+            "--check" => a.check = Some(PathBuf::from(v)),
+            "--tolerance" => match value::<f64>(flag, v)? {
+                pct if pct.is_finite() && pct >= 0.0 => a.tolerance_pct = Some(pct),
+                _ => return Err(format!("bad --tolerance value: {v}")),
+            },
+            "--json" => a.json = Some(PathBuf::from(v)),
+            "--dir" => a.dir = Some(PathBuf::from(v)),
+            _ => unreachable!("every allowed flag is parsed above"),
+        }
+    }
+    Ok(a)
 }
 
-/// One crash-consistency job per seed (the `bench crash --seeds` matrix).
-fn crash_jobs(flags: &Flags) -> Vec<Job> {
-    let seeds = match &flags.seeds {
-        Some(s) => s.clone(),
-        None => vec![flags.seed.unwrap_or(1999)],
+/// One job running `exp` with the flags in `a` and the given seed.
+fn job(exp: &'static Experiment, a: &Args, seed: u64) -> Job {
+    let cfg = RunCfg {
+        scale: a.scale.unwrap_or(exp.scale),
+        seed,
+        out_dir: a.out_dir(),
+        spec_path: a.spec.clone(),
+        target: a.target.unwrap_or_default(),
     };
-    seeds
-        .into_iter()
-        .map(|seed| {
-            let cfg = CrashCfg {
-                seed,
-                out_dir: flags.out_dir.clone(),
-            };
-            Job {
-                label: format!("crash seed={seed}"),
-                run: Box::new(move || runners::crash_consistency(&cfg)),
-            }
-        })
-        .collect()
+    Job {
+        label: if exp.per_seed {
+            format!("{} seed={seed}", exp.name)
+        } else {
+            exp.name.to_string()
+        },
+        run: Box::new(move || (exp.run)(&cfg)),
+    }
 }
 
 /// The full experiment matrix for `bench all`. `--scale`/`--seed`
 /// override every job; otherwise each keeps its standalone default.
-/// Public so the parallel-determinism test can run the exact job set
-/// in-process with different `--jobs` values.
+/// Public so the parallel-determinism test (and the repo benchmark) can
+/// run the exact job set in-process.
 pub fn all_jobs(scale: Option<f64>, seed: Option<u64>, out_dir: &std::path::Path) -> Vec<Job> {
-    let flags = Flags {
+    let a = Args {
         scale,
-        seed,
-        out_dir: out_dir.to_path_buf(),
-        ..Flags::default()
+        out_dir: Some(out_dir.to_path_buf()),
+        ..Args::default()
     };
-    ALL_MATRIX
+    EXPERIMENTS
         .iter()
-        .map(|(name, _)| experiment_job(name, &flags).expect("matrix entry"))
+        .filter(|e| e.in_all)
+        .map(|e| job(e, &a, seed.unwrap_or(1999)))
         .collect()
+}
+
+/// The jobs `bench <name>` stands for: the whole matrix for `all`, else
+/// one experiment — fanned out over `--seeds` if its reports are
+/// per-seed.
+fn jobs_for(name: &str, a: &Args) -> Result<Vec<Job>, String> {
+    let exp = Experiment::find(name);
+    let seeds = match &a.seeds {
+        Some(seeds) if exp.is_some_and(|e| e.per_seed) => seeds.clone(),
+        Some(_) => {
+            let seeded: Vec<&str> = per_seed_names().collect();
+            return Err(format!("--seeds applies only to {}", seeded.join(", ")));
+        }
+        None => vec![a.seed.unwrap_or(1999)],
+    };
+    match exp {
+        Some(exp) => Ok(seeds.into_iter().map(|seed| job(exp, a, seed)).collect()),
+        None if name == "all" => Ok(all_jobs(a.scale, a.seed, &a.out_dir())),
+        None => Err(format!("unknown experiment {name:?}")),
+    }
+}
+
+fn per_seed_names() -> impl Iterator<Item = &'static str> {
+    EXPERIMENTS.iter().filter(|e| e.per_seed).map(|e| e.name)
 }
 
 /// Concatenates job outputs in submission order, each under a banner —
@@ -335,86 +206,42 @@ pub fn render_results(results: &[JobResult]) -> String {
     out
 }
 
-/// Writes the wall-clock manifest (`--json`): per-job and total seconds.
-/// Named `BENCH_wallclock.json` in CI; `benchdiff --dir` knows to skip it.
-fn write_wallclock(path: &std::path::Path, jobs: usize, results: &[JobResult], total: f64) {
-    let runs = results
-        .iter()
-        .map(|r| {
-            obs::Json::Obj(vec![
-                ("name".into(), obs::Json::Str(r.label.clone())),
-                (
-                    "secs".into(),
-                    obs::Json::Num((r.wall_secs * 1e3).round() / 1e3),
-                ),
-            ])
-        })
-        .collect();
-    let doc = obs::Json::Obj(vec![
-        ("experiment".into(), obs::Json::Str("wallclock".into())),
-        ("jobs".into(), obs::Json::Num(jobs as f64)),
-        (
-            "total_secs".into(),
-            obs::Json::Num((total * 1e3).round() / 1e3),
-        ),
-        ("runs".into(), obs::Json::Arr(runs)),
-    ]);
-    let mut text = doc.render();
-    text.push('\n');
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::write(path, text) {
-        Ok(()) => eprintln!("[bench] wrote {}", path.display()),
-        Err(e) => eprintln!("[bench] could not write {}: {e}", path.display()),
+/// The usage text, generated from the registry.
+pub fn usage() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+    let seeded: Vec<&str> = per_seed_names().collect();
+    format!(
+        "usage: bench <experiment|all> [--scale F] [--seed N] [--jobs N] [--out-dir DIR]\n\
+         \x20      bench <{}> [--seeds A,B,C] [--spec FILE] [--target tape|100mbit|1gbit|10gbit]\n\
+         \x20      bench explain <{}> [--check FILE] [--scale F] [--seed N] [--out-dir DIR]\n\
+         \x20      bench benchdiff [--tolerance PCT] [--bless] [--json PATH] (NEW BASELINE | --dir DIR)\n\
+         experiments: {}",
+        seeded.join("|"),
+        crate::explain::targets().join("|"),
+        names.join(" ")
+    )
+}
+
+/// Runs one command line; `Err` is a usage error.
+fn run(args: &[String]) -> Result<ExitCode, String> {
+    let (cmd, rest) = args.split_first().ok_or("missing subcommand")?;
+    match cmd.replace('-', "_").as_str() {
+        "benchdiff" => crate::diffcli::run(&parse_args(rest, DIFF_FLAGS, 2)?),
+        "explain" => crate::explain::run(&parse_args(rest, EXPLAIN_FLAGS, 1)?),
+        name => {
+            let a = parse_args(rest, RUN_FLAGS, 0)?;
+            let results = pool::run_jobs(jobs_for(name, &a)?, a.jobs.unwrap_or(1));
+            print!("{}", render_results(&results));
+            Ok(ExitCode::SUCCESS)
+        }
     }
 }
 
-const USAGE: &str = "usage: bench <experiment|all|chaos|crash|benchdiff|explain> \
-[--scale F] [--seed N] [--seeds A,B,C] [--jobs N] [--out-dir DIR] [--json PATH] [--spec FILE] \
-[--target tape|100mbit|1gbit|10gbit]";
-
 /// Entry point for the `bench` binary.
 pub fn main_with_args(args: Vec<String>) -> ExitCode {
-    let Some(cmd) = args.first().cloned() else {
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
-    };
-    let cmd = cmd.replace('-', "_");
-    if cmd == "benchdiff" {
-        return crate::diffcli::run(&args[1..]);
-    }
-    if cmd == "explain" {
-        return crate::explain::run(&args[1..]);
-    }
-    let flags = match parse_flags(&args[1..]) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("bench: {e}");
-            eprintln!("{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let jobs = match cmd.as_str() {
-        "all" => all_jobs(flags.scale, flags.seed, &flags.out_dir),
-        "chaos" => chaos_jobs(&flags),
-        "crash" => crash_jobs(&flags),
-        name => match experiment_job(name, &flags) {
-            Some(job) => vec![job],
-            None => {
-                eprintln!("bench: unknown experiment {name:?}");
-                eprintln!("{USAGE}");
-                return ExitCode::from(2);
-            }
-        },
-    };
-    let njobs = flags.jobs;
-    let t0 = Instant::now();
-    let results = pool::run_jobs(jobs, njobs);
-    let total = t0.elapsed().as_secs_f64();
-    print!("{}", render_results(&results));
-    if let Some(path) = &flags.json {
-        write_wallclock(path, njobs, &results, total);
-    }
-    ExitCode::SUCCESS
+    run(&args).unwrap_or_else(|e| {
+        eprintln!("bench: {e}");
+        eprintln!("{}", usage());
+        ExitCode::from(2)
+    })
 }

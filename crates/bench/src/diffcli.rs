@@ -2,9 +2,9 @@
 //! artifacts against committed baselines (see [`crate::diff`]).
 //!
 //! ```text
-//! benchdiff [OPTIONS] NEW BASELINE      compare two artifact files
-//! benchdiff [OPTIONS] --dir DIR         compare every obs_<name>.json in
-//!                                       DIR against its BENCH_<name>.json
+//! bench benchdiff [OPTIONS] NEW BASELINE  compare two artifact files
+//! bench benchdiff [OPTIONS] --dir DIR     compare every obs_<name>.json in
+//!                                         DIR against its BENCH_<name>.json
 //!
 //! --tolerance PCT   per-stage relative tolerance in percent (default 1.0)
 //! --bless           accept the drift: copy NEW over BASELINE and exit 0
@@ -21,56 +21,10 @@ use std::process::ExitCode;
 use obs::Artifact;
 use obs::Json;
 
+use crate::cli::Args;
 use crate::diff::diff;
 use crate::diff::DiffOptions;
 use crate::diff::DiffReport;
-
-struct Cli {
-    tolerance_pct: f64,
-    bless: bool,
-    json_path: Option<PathBuf>,
-    dir: Option<PathBuf>,
-    files: Vec<PathBuf>,
-}
-
-fn parse_cli(args: &[String]) -> Result<Cli, String> {
-    let mut cli = Cli {
-        tolerance_pct: 1.0,
-        bless: false,
-        json_path: None,
-        dir: None,
-        files: Vec::new(),
-    };
-    let mut args = args.iter().cloned();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--tolerance" => {
-                let v = args.next().ok_or("--tolerance needs a value")?;
-                cli.tolerance_pct = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("bad --tolerance value: {v}"))?;
-                if !cli.tolerance_pct.is_finite() || cli.tolerance_pct < 0.0 {
-                    return Err(format!("bad --tolerance value: {v}"));
-                }
-            }
-            "--bless" => cli.bless = true,
-            "--json" => {
-                let v = args.next().ok_or("--json needs a path")?;
-                cli.json_path = Some(PathBuf::from(v));
-            }
-            "--dir" => {
-                let v = args.next().ok_or("--dir needs a path")?;
-                cli.dir = Some(PathBuf::from(v));
-            }
-            other if other.starts_with("--") => return Err(format!("unknown flag: {other}")),
-            other => cli.files.push(PathBuf::from(other)),
-        }
-    }
-    match (&cli.dir, cli.files.len()) {
-        (Some(_), 0) | (None, 2) => Ok(cli),
-        _ => Err("expected either NEW BASELINE or --dir DIR".into()),
-    }
-}
 
 fn load(path: &Path) -> Result<Artifact, String> {
     let text = std::fs::read_to_string(path)
@@ -111,9 +65,7 @@ fn run_pair(
 }
 
 /// `BENCH_<name>.json` baselines in `dir`, each paired with its
-/// `obs_<name>.json` sibling. `BENCH_wallclock.json` is the wall-clock
-/// trajectory record the timed CI job appends to, not an artifact
-/// baseline — skip it.
+/// `obs_<name>.json` sibling.
 fn dir_pairs(dir: &Path) -> Result<Vec<(PathBuf, PathBuf)>, String> {
     let mut pairs = Vec::new();
     let entries =
@@ -123,9 +75,6 @@ fn dir_pairs(dir: &Path) -> Result<Vec<(PathBuf, PathBuf)>, String> {
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
         if let Some(rest) = name.strip_prefix("BENCH_") {
-            if rest == "wallclock.json" {
-                continue;
-            }
             pairs.push((dir.join(format!("obs_{rest}")), entry.path()));
         }
     }
@@ -136,42 +85,34 @@ fn dir_pairs(dir: &Path) -> Result<Vec<(PathBuf, PathBuf)>, String> {
     Ok(pairs)
 }
 
-fn run_inner(args: &[String]) -> Result<bool, String> {
-    let cli = parse_cli(args)?;
+/// Runs benchdiff on parsed arguments. Exit codes: 0 within tolerance
+/// (or blessed), 1 drift detected; `Err` = usage or I/O error (exit 2).
+pub fn run(a: &Args) -> Result<ExitCode, String> {
     let options = DiffOptions {
-        tolerance: cli.tolerance_pct / 100.0,
+        tolerance: a.tolerance_pct.unwrap_or(1.0) / 100.0,
         ..DiffOptions::default()
     };
-    let pairs = match &cli.dir {
-        Some(dir) => dir_pairs(dir)?,
-        None => vec![(cli.files[0].clone(), cli.files[1].clone())],
+    let pairs = match (&a.dir, a.positional.as_slice()) {
+        (Some(dir), []) => dir_pairs(dir)?,
+        (None, [new, base]) => vec![(PathBuf::from(new), PathBuf::from(base))],
+        _ => return Err("benchdiff expects either NEW BASELINE or --dir DIR".into()),
     };
     let mut reports = Vec::new();
     for (new_path, base_path) in &pairs {
-        if let Some(report) = run_pair(new_path, base_path, options, cli.bless)? {
+        if let Some(report) = run_pair(new_path, base_path, options, a.bless)? {
             reports.push(report);
         }
     }
-    let all_ok = reports.iter().all(DiffReport::ok);
-    if let Some(path) = &cli.json_path {
+    if let Some(path) = &a.json {
         let doc = Json::Arr(reports.iter().map(DiffReport::to_json).collect());
         let mut text = doc.render();
         text.push('\n');
         std::fs::write(path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         eprintln!("[benchdiff] wrote {}", path.display());
     }
-    Ok(all_ok)
-}
-
-/// Runs benchdiff on pre-split arguments, returning the process exit code.
-pub fn run(args: &[String]) -> ExitCode {
-    match run_inner(args) {
-        Ok(true) => ExitCode::SUCCESS,
-        Ok(false) => ExitCode::from(1),
-        Err(e) => {
-            eprintln!("benchdiff: {e}");
-            eprintln!("usage: benchdiff [--tolerance PCT] [--bless] [--json PATH] (NEW BASELINE | --dir DIR)");
-            ExitCode::from(2)
-        }
-    }
+    Ok(if reports.iter().all(DiffReport::ok) {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
+    })
 }

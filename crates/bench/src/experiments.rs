@@ -1,9 +1,12 @@
-//! The experiment runners behind each table binary.
+//! The functional pass and the solves behind every table.
 //!
-//! Each runner executes the real backup engines against a built volume,
-//! re-scales the measured stage profiles to paper size, solves the fluid
-//! model for the requested drive configuration, and returns rows shaped
-//! like the paper's tables.
+//! [`functional_runs`] executes the real backup engines against a built
+//! volume and keeps what each of the paper's four operations measured as
+//! one [`OpRun`]; [`simulate_on`] re-scales nothing and knows no table — it
+//! solves the fluid model for one operation on one [`Medium`]; and
+//! [`run_basic`], [`run_parallel`], [`run_net`] and [`run_scaling`] are
+//! loops over the four operations that shape their streams for a drive
+//! count or a link and return rows shaped like the paper's tables.
 
 use backup_core::logical::catalog::DumpCatalog;
 use backup_core::logical::dump::dump;
@@ -11,13 +14,12 @@ use backup_core::logical::dump::DumpOptions;
 use backup_core::logical::restore::restore;
 use backup_core::physical::dump::image_dump_full;
 use backup_core::physical::restore::image_restore;
+use backup_core::report::Profiler;
 use backup_core::report::StageProfile;
 use net::LinkSpec;
 use obs::attrib::SweepPoint;
 use raid::Volume;
-use simkit::fluid::Trace;
 use simkit::prelude::FluidSim;
-use simkit::prelude::ResourceId;
 use simkit::prelude::Stream;
 use simkit::units::MIB;
 use tape::TapeDrive;
@@ -82,7 +84,7 @@ pub struct BasicResults {
     /// Fragmentation of the source volume.
     pub frag: f64,
     /// The observability artifact: measured spans stamped with simulated
-    /// times, plus per-resource utilization. The binaries name and write
+    /// times, plus per-resource utilization. The runners name and write
     /// it (`results/obs_<experiment>.json`).
     pub obs: obs::Artifact,
     /// Trace events mapped onto the artifact's time axis (empty unless
@@ -109,119 +111,16 @@ pub struct SimOp {
     pub elapsed: f64,
 }
 
-/// Solves the fluid model for one operation.
-///
-/// `streams` holds, per concurrent stream, the paper-scaled stage
-/// profiles. Every stream gets a dedicated tape drive; all share the CPU
-/// and the volume's `arms` disk arms.
-pub fn simulate_op(
-    op: &'static str,
-    streams: &[Vec<StageProfile>],
-    arms: f64,
-    kind: OpKind,
-    model: &FilerModel,
-) -> SimOp {
-    let n = streams.len();
-    if std::env::var("BENCH_DEBUG").is_ok() {
-        for (i, s) in streams.iter().enumerate() {
-            for p in s {
-                eprintln!(
-                    "[debug] {op} #{i} {:<30} cpu={:.1}s files={} dirs={} blocks={} tape={}MiB rr={}MiB sr={}MiB rw={}MiB sw={}MiB",
-                    p.name,
-                    p.cpu_secs,
-                    p.files,
-                    p.dirs,
-                    p.blocks,
-                    p.tape_bytes >> 20,
-                    p.disk_rand_read >> 20,
-                    p.disk_seq_read >> 20,
-                    p.disk_rand_write >> 20,
-                    p.disk_seq_write >> 20,
-                );
-            }
-        }
-    }
-    let mut sim = FluidSim::new();
-    let cpu = sim.add_resource("cpu", 1.0);
-    let disk = sim.add_resource("disk", arms);
-    let meta = sim.add_resource("meta", 1.0);
-    let mut ids_per_stream = Vec::new();
-    let mut handles = Vec::new();
-    for (i, stages) in streams.iter().enumerate() {
-        let tape = sim.add_resource(format!("tape{i}"), 1.0);
-        let ids = ResourceIds {
-            cpu,
-            disk,
-            tape,
-            meta,
-        };
-        ids_per_stream.push(ids);
-        let fluid_stages = stages
-            .iter()
-            .map(|p| stage_to_fluid(p, model, &ids, n, kind))
-            .collect();
-        handles.push(sim.add_stream(Stream {
-            name: format!("{op} #{i}"),
-            start_at: 0.0,
-            stages: fluid_stages,
-        }));
-    }
-    let trace = sim.run().expect("fluid model solvable");
-    fold_trace(op, streams, &trace, cpu)
-}
-
-/// Folds one solved trace into a [`SimOp`]: per-stage aggregation,
-/// windows, timelines, and attribution. Shared by the tape and network
-/// solver paths so they bin and report identically.
-fn fold_trace(
-    op: &'static str,
-    streams: &[Vec<StageProfile>],
-    trace: &Trace,
-    cpu: ResourceId,
-) -> SimOp {
-    // Aggregate per stage name, preserving first-appearance order.
-    let mut order: Vec<String> = Vec::new();
-    for s in streams.iter().flatten() {
-        if !order.contains(&s.name) {
-            order.push(s.name.clone());
-        }
-    }
-    let mut rows = Vec::new();
-    let mut windows = Vec::new();
-    for name in order {
-        let Some((t0, t1)) = trace.window(&name) else {
-            continue;
-        };
-        windows.push((name.clone(), t0, t1));
-        let disk_bytes: u64 = streams
-            .iter()
-            .flatten()
-            .filter(|p| p.name == name)
-            .map(|p| p.disk_bytes())
-            .sum();
-        let tape_bytes: u64 = streams
-            .iter()
-            .flatten()
-            .filter(|p| p.name == name)
-            .map(|p| p.tape_bytes)
-            .sum();
-        let window = (t1 - t0).max(1e-9);
-        rows.push(StageRow {
-            op,
-            stage: name,
-            elapsed: t1 - t0,
-            cpu_util: trace.utilization(cpu, t0, t1),
-            disk_mb_s: disk_bytes as f64 / MIB as f64 / window,
-            tape_mb_s: tape_bytes as f64 / MIB as f64 / window,
-        });
-    }
-    SimOp {
-        rows,
-        windows,
-        timelines: obs::timelines_from_trace(trace),
-        attribution: obs::attribute(op, trace),
-        elapsed: trace.makespan(),
-    }
+/// What an operation's streams land on — the one structural choice in
+/// the resource layout.
+#[derive(Debug, Clone, Copy)]
+pub enum Medium {
+    /// Every stream gets a private DLT drive (`tape0`, `tape1`, ...).
+    Tape,
+    /// All streams share one `net` resource: a link is a shared channel
+    /// (dslab-style), and stage demands charged to the "tape" slot land
+    /// on it at the link's effective rate.
+    Link(LinkSpec),
 }
 
 /// Bytes per framed wire record the net time model charges: 64 blocks
@@ -242,48 +141,97 @@ fn net_model(model: &FilerModel, link: &LinkSpec) -> FilerModel {
     m
 }
 
-/// Solves the fluid model for one operation whose stream lands on a
-/// network link instead of tape drives.
-///
-/// The resource layout is the one structural difference from
-/// [`simulate_op`]: all streams share **one** `net` resource (a link is
-/// a shared channel, dslab-style), where the tape path gives every
-/// stream its own drive. Stage demands charged to the "tape" slot land
-/// on the link at the link's effective rate.
-pub fn simulate_op_net(
+/// Solves the fluid model for one operation against tape drives: the
+/// single-medium form of [`simulate_on`] the tables (and the repo
+/// benchmark) use.
+pub fn simulate_op(
     op: &'static str,
     streams: &[Vec<StageProfile>],
     arms: f64,
     kind: OpKind,
     model: &FilerModel,
-    link: &LinkSpec,
+) -> SimOp {
+    simulate_on(Medium::Tape, op, streams, arms, kind, model)
+}
+
+/// Solves the fluid model for one operation on `medium`.
+///
+/// `streams` holds, per concurrent stream, the paper-scaled stage
+/// profiles. All streams share the CPU, the metadata pipeline and the
+/// volume's `arms` disk arms; the medium decides whether they also share
+/// what they write to. The solved trace is folded per stage name
+/// (first-appearance order) into rows, windows, timelines and
+/// attribution.
+pub fn simulate_on(
+    medium: Medium,
+    op: &'static str,
+    streams: &[Vec<StageProfile>],
+    arms: f64,
+    kind: OpKind,
+    model: &FilerModel,
 ) -> SimOp {
     let n = streams.len();
-    let m = net_model(model, link);
+    let model = match medium {
+        Medium::Tape => *model,
+        Medium::Link(link) => net_model(model, &link),
+    };
     let mut sim = FluidSim::new();
     let cpu = sim.add_resource("cpu", 1.0);
     let disk = sim.add_resource("disk", arms);
     let meta = sim.add_resource("meta", 1.0);
-    let net = sim.add_resource("net", 1.0);
+    let link = matches!(medium, Medium::Link(_)).then(|| sim.add_resource("net", 1.0));
     for (i, stages) in streams.iter().enumerate() {
+        let tape = link.unwrap_or_else(|| sim.add_resource(format!("tape{i}"), 1.0));
         let ids = ResourceIds {
             cpu,
             disk,
-            tape: net,
+            tape,
             meta,
         };
-        let fluid_stages = stages
-            .iter()
-            .map(|p| stage_to_fluid(p, &m, &ids, n, kind))
-            .collect();
         sim.add_stream(Stream {
             name: format!("{op} #{i}"),
             start_at: 0.0,
-            stages: fluid_stages,
+            stages: stages
+                .iter()
+                .map(|p| stage_to_fluid(p, &model, &ids, n, kind))
+                .collect(),
         });
     }
     let trace = sim.run().expect("fluid model solvable");
-    fold_trace(op, streams, &trace, cpu)
+
+    let mut order: Vec<&str> = Vec::new();
+    for s in streams.iter().flatten() {
+        if !order.contains(&s.name.as_str()) {
+            order.push(&s.name);
+        }
+    }
+    let mut rows = Vec::new();
+    let mut windows = Vec::new();
+    for name in order {
+        let Some((t0, t1)) = trace.window(name) else {
+            continue;
+        };
+        windows.push((name.to_string(), t0, t1));
+        let named = || streams.iter().flatten().filter(|p| p.name == name);
+        let disk_bytes: u64 = named().map(|p| p.disk_bytes()).sum();
+        let tape_bytes: u64 = named().map(|p| p.tape_bytes).sum();
+        let window = (t1 - t0).max(1e-9);
+        rows.push(StageRow {
+            op,
+            stage: name.to_string(),
+            elapsed: t1 - t0,
+            cpu_util: trace.utilization(cpu, t0, t1),
+            disk_mb_s: disk_bytes as f64 / MIB as f64 / window,
+            tape_mb_s: tape_bytes as f64 / MIB as f64 / window,
+        });
+    }
+    SimOp {
+        rows,
+        windows,
+        timelines: obs::timelines_from_trace(&trace),
+        attribution: obs::attribute(op, &trace),
+        elapsed: trace.makespan(),
+    }
 }
 
 /// Scales a profiler's stages to paper size.
@@ -291,41 +239,62 @@ fn scaled_stages(stages: &[StageProfile], factor: f64) -> Vec<StageProfile> {
     stages.iter().map(|p| p.scaled(factor)).collect()
 }
 
+/// One of the paper's four operations as the functional pass measured it.
+pub struct OpRun {
+    /// Row label in Tables 2, 4 and 5 and the network table
+    /// ("Logical Backup").
+    pub name: &'static str,
+    /// Row label in Table 3, which names the program ("Logical Dump").
+    pub program: &'static str,
+    /// Which calibration the solver applies.
+    pub kind: OpKind,
+    /// Whole-volume stage profiles, unscaled.
+    pub stages: Vec<StageProfile>,
+    /// Whole-volume span forest (for the obs artifact).
+    pub spans: Vec<obs::Span>,
+    /// Trace events drained after the operation (empty when tracing is
+    /// off; span ids refer to `spans`).
+    pub events: Vec<obs::event::Event>,
+    /// Data moved, in bytes at paper scale.
+    pub bytes: u64,
+    /// Per-qtree stage profiles: what the parallel tables distribute over
+    /// drives for the logical operations (empty for the physical ones,
+    /// whose image stream is striped instead).
+    pub parts: Vec<Vec<StageProfile>>,
+}
+
+impl OpRun {
+    /// An operation that just finished: takes its profile and drains the
+    /// trace events it left behind.
+    fn finished(
+        name: &'static str,
+        program: &'static str,
+        kind: OpKind,
+        profiler: &Profiler,
+        bytes: u64,
+    ) -> OpRun {
+        OpRun {
+            name,
+            program,
+            kind,
+            stages: profiler.stages(),
+            spans: profiler.spans(),
+            events: obs::event::drain().events,
+            bytes,
+            parts: Vec::new(),
+        }
+    }
+
+    fn is_logical(&self) -> bool {
+        matches!(self.kind, OpKind::LogicalDump | OpKind::LogicalRestore)
+    }
+}
+
 /// Everything measured from one functional pass over a built volume.
 pub struct FunctionalRuns {
-    /// Whole-volume logical dump stages.
-    pub logical_dump: Vec<StageProfile>,
-    /// Whole-volume logical restore stages.
-    pub logical_restore: Vec<StageProfile>,
-    /// Image dump stages.
-    pub image_dump: Vec<StageProfile>,
-    /// Image restore stages.
-    pub image_restore: Vec<StageProfile>,
-    /// Whole-volume logical dump span forest (for the obs artifact).
-    pub logical_dump_spans: Vec<obs::Span>,
-    /// Whole-volume logical restore span forest.
-    pub logical_restore_spans: Vec<obs::Span>,
-    /// Image dump span forest.
-    pub image_dump_spans: Vec<obs::Span>,
-    /// Image restore span forest.
-    pub image_restore_spans: Vec<obs::Span>,
-    /// Trace events drained after the logical dump (empty when tracing is
-    /// off; span ids refer to the matching span forest).
-    pub logical_dump_events: Vec<obs::event::Event>,
-    /// Trace events for the logical restore.
-    pub logical_restore_events: Vec<obs::event::Event>,
-    /// Trace events for the image dump.
-    pub image_dump_events: Vec<obs::event::Event>,
-    /// Trace events for the image restore.
-    pub image_restore_events: Vec<obs::event::Event>,
-    /// Per-qtree logical dump stages (for the parallel experiments).
-    pub qtree_dumps: Vec<Vec<StageProfile>>,
-    /// Per-qtree logical restore stages.
-    pub qtree_restores: Vec<Vec<StageProfile>>,
-    /// Data blocks in the logical dump.
-    pub logical_blocks: u64,
-    /// Blocks in the image dump.
-    pub image_blocks: u64,
+    /// Logical backup, logical restore, physical backup, physical
+    /// restore — the row order of every table.
+    pub ops: [OpRun; 4],
     /// Files dumped.
     pub files: u64,
 }
@@ -333,6 +302,8 @@ pub struct FunctionalRuns {
 /// Runs every functional backup/restore pass the tables need.
 pub fn functional_runs(home: &mut BuiltVolume) -> FunctionalRuns {
     let geometry = home.profile.geometry.clone();
+    let factor = home.paper_factor();
+    let paper_bytes = |blocks: u64| (blocks as f64 * 4096.0 * factor) as u64;
     let mut catalog = DumpCatalog::new();
     let tape_blank = 64 * (1u64 << 30);
 
@@ -352,7 +323,14 @@ pub fn functional_runs(home: &mut BuiltVolume) -> FunctionalRuns {
         },
     )
     .expect("logical dump");
-    let logical_dump_events = obs::event::drain().events;
+    let logical_bytes = paper_bytes(ld.data_blocks);
+    let mut logical_dump = OpRun::finished(
+        "Logical Backup",
+        "Logical Dump",
+        OpKind::LogicalDump,
+        &ld.profiler,
+        logical_bytes,
+    );
 
     eprintln!("[run] logical restore (whole volume)...");
     let mut fresh = Wafl::format_with(
@@ -365,12 +343,25 @@ pub fn functional_runs(home: &mut BuiltVolume) -> FunctionalRuns {
     let lr = restore(&mut fresh, &mut tape_l, "/").expect("logical restore");
     drop(fresh);
     drop(tape_l);
-    let logical_restore_events = obs::event::drain().events;
+    let mut logical_restore = OpRun::finished(
+        "Logical Restore",
+        "Logical Restore",
+        OpKind::LogicalRestore,
+        &lr.profiler,
+        logical_bytes,
+    );
 
     eprintln!("[run] image dump...");
     let mut tape_p = TapeDrive::new(TapePerf::dlt7000(), tape_blank);
     let pd = image_dump_full(&mut home.fs, &mut tape_p, "image.base").expect("image dump");
-    let image_dump_events = obs::event::drain().events;
+    let physical_bytes = paper_bytes(pd.blocks);
+    let physical_dump = OpRun::finished(
+        "Physical Backup",
+        "Physical Dump",
+        OpKind::PhysicalDump,
+        &pd.profiler,
+        physical_bytes,
+    );
 
     eprintln!("[run] image restore...");
     let mut fresh_vol = Volume::new(geometry.clone());
@@ -379,11 +370,15 @@ pub fn functional_runs(home: &mut BuiltVolume) -> FunctionalRuns {
         .expect("image restore");
     drop(fresh_vol);
     drop(tape_p);
-    let image_restore_events = obs::event::drain().events;
+    let physical_restore = OpRun::finished(
+        "Physical Restore",
+        "Physical Restore",
+        OpKind::PhysicalRestore,
+        &pr.profiler,
+        physical_bytes,
+    );
 
     // Per-qtree passes for the parallel tables.
-    let mut qtree_dumps = Vec::new();
-    let mut qtree_restores = Vec::new();
     if !home.outcome.qtree_paths.is_empty() {
         let mut target = Wafl::format_with(
             Volume::new(geometry),
@@ -412,8 +407,8 @@ pub fn functional_runs(home: &mut BuiltVolume) -> FunctionalRuns {
                 .create(INO_ROOT, &scratch, FileType::Dir, Attrs::default())
                 .expect("scratch dir");
             let rout = restore(&mut target, &mut tape, &scratch).expect("qtree restore");
-            qtree_dumps.push(out.profiler.stages());
-            qtree_restores.push(rout.profiler.stages());
+            logical_dump.parts.push(out.profiler.stages());
+            logical_restore.parts.push(rout.profiler.stages());
         }
         // The per-qtree spans do not survive into the merged parallel
         // streams, so their events have nothing to attach to; discard.
@@ -422,22 +417,12 @@ pub fn functional_runs(home: &mut BuiltVolume) -> FunctionalRuns {
     }
 
     FunctionalRuns {
-        logical_dump: ld.profiler.stages(),
-        logical_restore: lr.profiler.stages(),
-        image_dump: pd.profiler.stages(),
-        image_restore: pr.profiler.stages(),
-        logical_dump_spans: ld.profiler.spans(),
-        logical_restore_spans: lr.profiler.spans(),
-        image_dump_spans: pd.profiler.spans(),
-        image_restore_spans: pr.profiler.spans(),
-        logical_dump_events,
-        logical_restore_events,
-        image_dump_events,
-        image_restore_events,
-        qtree_dumps,
-        qtree_restores,
-        logical_blocks: ld.data_blocks,
-        image_blocks: pd.blocks,
+        ops: [
+            logical_dump,
+            logical_restore,
+            physical_dump,
+            physical_restore,
+        ],
         files: ld.files,
     }
 }
@@ -451,101 +436,37 @@ pub fn run_basic(
     let factor = home.paper_factor();
     let arms = home.profile.geometry.total_disks() as f64;
 
-    let ld = simulate_op(
-        "Logical Dump",
-        &[scaled_stages(&runs.logical_dump, factor)],
-        arms,
-        OpKind::LogicalDump,
-        model,
-    );
-    // Restore reads the tape continuously, so it does not pay the dump
-    // stream's start/stop efficiency loss.
-    let lr = simulate_op(
-        "Logical Restore",
-        &[scaled_stages(&runs.logical_restore, factor)],
-        arms,
-        OpKind::LogicalRestore,
-        model,
-    );
-    let pd = simulate_op(
-        "Physical Dump",
-        &[scaled_stages(&runs.image_dump, factor)],
-        arms,
-        OpKind::PhysicalDump,
-        model,
-    );
-    let pr = simulate_op(
-        "Physical Restore",
-        &[scaled_stages(&runs.image_restore, factor)],
-        arms,
-        OpKind::PhysicalRestore,
-        model,
-    );
-
-    let (obs, trace_events) = crate::obsout::assemble(
-        "basic",
-        factor,
-        &[
-            crate::obsout::OpObs {
-                spans: &runs.logical_dump_spans,
-                events: &runs.logical_dump_events,
-                sim: &ld,
-            },
-            crate::obsout::OpObs {
-                spans: &runs.logical_restore_spans,
-                events: &runs.logical_restore_events,
-                sim: &lr,
-            },
-            crate::obsout::OpObs {
-                spans: &runs.image_dump_spans,
-                events: &runs.image_dump_events,
-                sim: &pd,
-            },
-            crate::obsout::OpObs {
-                spans: &runs.image_restore_spans,
-                events: &runs.image_restore_events,
-                sim: &pr,
-            },
-        ],
-    );
-
-    let attribs = vec![
-        ld.attribution.clone(),
-        lr.attribution.clone(),
-        pd.attribution.clone(),
-        pr.attribution.clone(),
-    ];
-
-    let logical_bytes = (runs.logical_blocks as f64 * 4096.0 * factor) as u64;
-    let physical_bytes = (runs.image_blocks as f64 * 4096.0 * factor) as u64;
-    let summary = |name, elapsed, bytes: u64| OpSummary {
-        name,
-        elapsed,
-        mb_s: simkit::units::mib_per_sec(bytes, elapsed),
-        gb_h: simkit::units::gib_per_hour(bytes, elapsed),
-    };
-    let table2 = vec![
-        summary("Logical Backup", ld.elapsed, logical_bytes),
-        summary("Logical Restore", lr.elapsed, logical_bytes),
-        summary("Physical Backup", pd.elapsed, physical_bytes),
-        summary("Physical Restore", pr.elapsed, physical_bytes),
-    ];
-    let mut table3 = Vec::new();
-    table3.extend(ld.rows);
-    table3.extend(lr.rows);
-    table3.extend(pd.rows);
-    table3.extend(pr.rows);
+    let sims: Vec<SimOp> = runs
+        .ops
+        .iter()
+        .map(|op| {
+            let streams = [scaled_stages(&op.stages, factor)];
+            simulate_op(op.program, &streams, arms, op.kind, model)
+        })
+        .collect();
+    let (obs, trace_events) = crate::obsout::assemble("basic", factor, &runs.ops, &sims);
+    let table2 = runs
+        .ops
+        .iter()
+        .zip(&sims)
+        .map(|(op, sim)| OpSummary {
+            name: op.name,
+            elapsed: sim.elapsed,
+            mb_s: simkit::units::mib_per_sec(op.bytes, sim.elapsed),
+            gb_h: simkit::units::gib_per_hour(op.bytes, sim.elapsed),
+        })
+        .collect();
 
     BasicResults {
         table2,
-        table3,
-        logical_bytes,
-        physical_bytes,
+        attribs: sims.iter().map(|s| s.attribution.clone()).collect(),
+        table3: sims.into_iter().flat_map(|s| s.rows).collect(),
+        logical_bytes: runs.ops[0].bytes,
+        physical_bytes: runs.ops[2].bytes,
         files: (runs.files as f64 * factor) as u64,
         frag: home.frag,
         obs,
         trace_events,
-        attribs,
     }
 }
 
@@ -565,7 +486,7 @@ pub struct ParallelResults {
     /// Physical restore makespan, seconds.
     pub physical_restore_elapsed: f64,
     /// Spans-only observability artifact (operation roots with their
-    /// solved stage windows; the binaries rename and write it).
+    /// solved stage windows; the runners rename and write it).
     pub obs: obs::Artifact,
     /// Per-operation bottleneck attribution, in table order (Logical
     /// Backup, Logical Restore, Physical Backup, Physical Restore).
@@ -607,7 +528,8 @@ fn merge_into_streams(
 ///
 /// Logical work is the volume's qtrees distributed over the drives (the
 /// paper's "4 equal sized independent pieces"); physical work is the image
-/// stream striped evenly.
+/// stream striped evenly. Either way the per-dump snapshot rows drop out
+/// (the paper's parallel tables omit them too).
 pub fn run_parallel(
     home: &mut BuiltVolume,
     runs: &FunctionalRuns,
@@ -618,98 +540,33 @@ pub fn run_parallel(
     let factor = home.paper_factor();
     let arms = home.profile.geometry.total_disks() as f64;
 
-    // Logical: chain qtree dumps/restores onto n drives, dropping the
-    // per-dump snapshot rows (the paper's parallel tables omit them too).
-    let strip_snapshots = |stages: Vec<Vec<StageProfile>>| -> Vec<Vec<StageProfile>> {
-        stages
-            .into_iter()
-            .map(|s| {
-                s.into_iter()
-                    .filter(|p| !p.name.contains("snapshot"))
-                    .collect()
-            })
-            .collect()
-    };
-    let ld_streams = strip_snapshots(merge_into_streams(&runs.qtree_dumps, n, factor));
-    let lr_streams = strip_snapshots(merge_into_streams(&runs.qtree_restores, n, factor));
-    let ld = simulate_op(
-        "Logical Backup",
-        &ld_streams,
-        arms,
-        OpKind::LogicalDump,
-        model,
-    );
-    let lr = simulate_op(
-        "Logical Restore",
-        &lr_streams,
-        arms,
-        OpKind::LogicalRestore,
-        model,
-    );
+    let sims: Vec<SimOp> = runs
+        .ops
+        .iter()
+        .map(|op| {
+            let mut streams = if op.is_logical() {
+                merge_into_streams(&op.parts, n, factor)
+            } else {
+                vec![scaled_stages(&op.stages, factor / n as f64); n]
+            };
+            for s in &mut streams {
+                s.retain(|p| !p.name.contains("snapshot"));
+            }
+            simulate_op(op.name, &streams, arms, op.kind, model)
+        })
+        .collect();
 
-    // Physical: stripe the image evenly across drives.
-    let stripe = |stages: &[StageProfile]| -> Vec<Vec<StageProfile>> {
-        (0..n)
-            .map(|_| {
-                stages
-                    .iter()
-                    .filter(|p| !p.name.contains("snapshot"))
-                    .map(|p| p.scaled(factor / n as f64))
-                    .collect()
-            })
-            .collect()
-    };
-    let pd = simulate_op(
-        "Physical Backup",
-        &stripe(&runs.image_dump),
-        arms,
-        OpKind::PhysicalDump,
-        model,
-    );
-    let pr = simulate_op(
-        "Physical Restore",
-        &stripe(&runs.image_restore),
-        arms,
-        OpKind::PhysicalRestore,
-        model,
-    );
-
-    let logical_bytes = (runs.logical_blocks as f64 * 4096.0 * factor) as u64;
-    let physical_bytes = (runs.image_blocks as f64 * 4096.0 * factor) as u64;
-    let mut rows = Vec::new();
-    let logical_gb_h = simkit::units::gib_per_hour(logical_bytes, ld.elapsed);
-    let physical_gb_h = simkit::units::gib_per_hour(physical_bytes, pd.elapsed);
-    let lr_elapsed = lr.elapsed;
-    let pr_elapsed = pr.elapsed;
-    let obs = crate::obsout::assemble_sim_only(
-        &format!("parallel{n}"),
-        &[
-            ("Logical Backup", &ld),
-            ("Logical Restore", &lr),
-            ("Physical Backup", &pd),
-            ("Physical Restore", &pr),
-        ],
-    );
-    let attribs = vec![
-        ld.attribution.clone(),
-        lr.attribution.clone(),
-        pd.attribution.clone(),
-        pr.attribution.clone(),
-    ];
-    rows.extend(ld.rows);
-    rows.extend(lr.rows);
-    rows.extend(pd.rows);
-    rows.extend(pr.rows);
-
+    let named: Vec<(&str, &SimOp)> = runs.ops.iter().map(|op| op.name).zip(&sims).collect();
+    let obs = crate::obsout::assemble_sim_only(&format!("parallel{n}"), &named);
     ParallelResults {
         n_drives: n,
-        rows,
-        logical_gb_h,
-        physical_gb_h,
-        logical_restore_elapsed: lr_elapsed,
-        physical_restore_elapsed: pr_elapsed,
+        logical_gb_h: simkit::units::gib_per_hour(runs.ops[0].bytes, sims[0].elapsed),
+        physical_gb_h: simkit::units::gib_per_hour(runs.ops[2].bytes, sims[2].elapsed),
+        logical_restore_elapsed: sims[1].elapsed,
+        physical_restore_elapsed: sims[3].elapsed,
         obs,
-        attribs,
+        attribs: sims.iter().map(|s| s.attribution.clone()).collect(),
+        rows: sims.into_iter().flat_map(|s| s.rows).collect(),
     }
 }
 
@@ -812,61 +669,35 @@ pub struct NetResults {
 /// Runs every operation against tape and each [`NET_LINKS`] link off
 /// the same functional pass the other tables use: the tape cells are
 /// the exact single-drive solves of [`run_basic`], the net cells swap
-/// the drive for a shared link via [`simulate_op_net`].
+/// the drive for a shared link ([`Medium::Link`]).
 pub fn run_net(home: &mut BuiltVolume, runs: &FunctionalRuns, model: &FilerModel) -> NetResults {
     let factor = home.paper_factor();
     let arms = home.profile.geometry.total_disks() as f64;
-    let logical_bytes = (runs.logical_blocks as f64 * 4096.0 * factor) as u64;
-    let physical_bytes = (runs.image_blocks as f64 * 4096.0 * factor) as u64;
-
-    let ops: [(&'static str, &[StageProfile], OpKind, u64); 4] = [
-        (
-            "Logical Backup",
-            &runs.logical_dump,
-            OpKind::LogicalDump,
-            logical_bytes,
-        ),
-        (
-            "Logical Restore",
-            &runs.logical_restore,
-            OpKind::LogicalRestore,
-            logical_bytes,
-        ),
-        (
-            "Physical Backup",
-            &runs.image_dump,
-            OpKind::PhysicalDump,
-            physical_bytes,
-        ),
-        (
-            "Physical Restore",
-            &runs.image_restore,
-            OpKind::PhysicalRestore,
-            physical_bytes,
-        ),
-    ];
 
     let mut rows = Vec::new();
     let mut sims: Vec<(String, SimOp)> = Vec::new();
     let mut sweep_ops: Vec<Vec<obs::OpAttribution>> = vec![Vec::new(); NET_LINKS.len()];
-    for (op, stages, kind, bytes) in ops {
-        let streams = [scaled_stages(stages, factor)];
-        let row = |sim: &SimOp, target: &str| NetRow {
-            op,
-            target: target.to_string(),
-            elapsed: sim.elapsed,
-            mb_s: simkit::units::mib_per_sec(bytes, sim.elapsed),
-            dominant: sim.attribution.dominant(),
-            class_shares: sim.attribution.class_shares.clone(),
-        };
-        let tape_sim = simulate_op(op, &streams, arms, kind, model);
-        rows.push(row(&tape_sim, "tape"));
-        sims.push((format!("{op} @ tape"), tape_sim));
-        for (li, (label, _)) in NET_LINKS.iter().enumerate() {
-            let sim = simulate_op_net(op, &streams, arms, kind, model, &link_for(label));
-            rows.push(row(&sim, label));
-            sweep_ops[li].push(sim.attribution.clone());
-            sims.push((format!("{op} @ {label}"), sim));
+    let links = NET_LINKS
+        .iter()
+        .map(|(label, _)| (*label, Medium::Link(link_for(label))));
+    let media: Vec<(&str, Medium)> = [("tape", Medium::Tape)].into_iter().chain(links).collect();
+    for op in &runs.ops {
+        let streams = [scaled_stages(&op.stages, factor)];
+        for (mi, &(target, medium)) in media.iter().enumerate() {
+            let sim = simulate_on(medium, op.name, &streams, arms, op.kind, model);
+            rows.push(NetRow {
+                op: op.name,
+                target: target.to_string(),
+                elapsed: sim.elapsed,
+                mb_s: simkit::units::mib_per_sec(op.bytes, sim.elapsed),
+                dominant: sim.attribution.dominant(),
+                class_shares: sim.attribution.class_shares.clone(),
+            });
+            // media[0] is the drive; the sweep runs over the links after it.
+            if mi > 0 {
+                sweep_ops[mi - 1].push(sim.attribution.clone());
+            }
+            sims.push((format!("{} @ {target}", op.name), sim));
         }
     }
 

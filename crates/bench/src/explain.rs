@@ -2,15 +2,15 @@
 //! run the machine-checked claims gate.
 //!
 //! ```text
-//! bench explain <table2|table3|table4|table5|net|sweep|all>
-//!               [--check FILE] [--scale F] [--seed N] [--out-dir DIR]
+//! bench explain <target> [--check FILE] [--scale F] [--seed N] [--out-dir DIR]
 //! ```
 //!
-//! The subcommand re-runs the requested experiments (one volume build,
-//! the same [`prepare`] pipeline the table runners use), folds the
-//! solver's binding records into [`obs::attrib`] reports, prints the
-//! per-stream bottleneck timelines, and writes the machine-readable
-//! artifacts:
+//! A target is any experiment with an attributable view (see
+//! [`targets`]), `sweep`, or `all`. The subcommand runs the same
+//! [`pipeline`] the table runners select from (one volume build,
+//! untraced), prints the per-stream bottleneck timelines folded from the
+//! solver's binding records ([`obs::attrib`]), and writes the
+//! machine-readable artifacts:
 //!
 //! - `results/ATTRIB_<table>.json` per requested table (the `net`
 //!   target produces "table_net", per-cell `"<op> @ <target>"` labels),
@@ -34,66 +34,53 @@ use std::process::ExitCode;
 
 use obs::attrib::SweepPoint;
 use obs::AttribReport;
-use obs::OpAttribution;
 use obs::SweepReport;
 use simkit::units::fmt_duration;
 
 use crate::build::BuiltVolume;
 use crate::calibrate::FilerModel;
 use crate::claims;
-use crate::experiments::prepare;
-use crate::experiments::run_basic;
-use crate::experiments::run_net;
+use crate::cli::Args;
 use crate::experiments::run_parallel;
 use crate::experiments::FunctionalRuns;
+use crate::runners::pipeline;
+use crate::runners::Experiment;
 use crate::runners::RunCfg;
+use crate::runners::View;
+use crate::runners::EXPERIMENTS;
+use crate::runners::TABLE_SCALE;
 
 /// Drive counts the crossover sweep evaluates (a superset of the
 /// parallel tables' 2 and 4 drives).
 pub const SWEEP_DRIVES: &[usize] = &[1, 2, 3, 4, 6];
 
-/// Which reports one `bench explain` invocation computes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Targets {
-    /// Single-drive attribution under the "table2" name.
-    pub table2: bool,
-    /// The same single-drive ops under the "table3" name.
-    pub table3: bool,
-    /// 2-drive parallel attribution.
-    pub table4: bool,
-    /// 4-drive parallel attribution.
-    pub table5: bool,
-    /// Tape-vs-network attribution ("table_net") plus the
-    /// link-bandwidth sweep ("net_sweep").
-    pub net: bool,
-    /// The drive-count sweep with crossover detection.
-    pub sweep: bool,
+/// The experiments whose view `bench explain <name>` attributes.
+fn explainable() -> impl Iterator<Item = (&'static str, View)> {
+    EXPERIMENTS
+        .iter()
+        .filter_map(|e| Some((e.name, e.explain?)))
 }
 
-impl Targets {
-    /// Parses a target name (`table2`..`table5`, `net`, `sweep`, `all`).
-    pub fn parse(name: &str) -> Option<Targets> {
-        let mut t = Targets::default();
-        match name {
-            "table2" => t.table2 = true,
-            "table3" => t.table3 = true,
-            "table4" => t.table4 = true,
-            "table5" => t.table5 = true,
-            "net" => t.net = true,
-            "sweep" => t.sweep = true,
-            "all" => {
-                t = Targets {
-                    table2: true,
-                    table3: true,
-                    table4: true,
-                    table5: true,
-                    net: true,
-                    sweep: true,
-                }
-            }
-            _ => return None,
-        }
-        Some(t)
+/// Every target name `bench explain` accepts: the explainable
+/// experiments, then the drive-count `sweep`, then `all` of those.
+pub fn targets() -> Vec<&'static str> {
+    explainable()
+        .map(|(name, _)| name)
+        .chain(["sweep", "all"])
+        .collect()
+}
+
+/// The pipeline views a target name selects.
+pub fn views_for(target: &str) -> Option<Vec<View>> {
+    match target {
+        "sweep" => Some(vec![View::Sweep]),
+        "all" => Some(
+            explainable()
+                .map(|(_, view)| view)
+                .chain([View::Sweep])
+                .collect(),
+        ),
+        name => Some(vec![Experiment::find(name)?.explain?]),
     }
 }
 
@@ -106,13 +93,6 @@ pub struct Reports {
     /// Computed sweeps by name ("sweep" = drive count, "net_sweep" =
     /// link bandwidth).
     pub sweeps: BTreeMap<String, SweepReport>,
-}
-
-fn report(name: &str, ops: &[OpAttribution]) -> AttribReport {
-    AttribReport {
-        experiment: name.to_string(),
-        ops: ops.to_vec(),
-    }
 }
 
 /// Runs the drive-count sweep: every operation of the parallel
@@ -130,42 +110,6 @@ pub fn sweep(home: &mut BuiltVolume, runs: &FunctionalRuns, model: &FilerModel) 
         param: "drives".to_string(),
         points,
     }
-}
-
-/// Computes the requested reports off one volume build — the same
-/// [`prepare`] → solve pipeline the table runners use, so attribution
-/// describes exactly the runs the tables report.
-pub fn compute(cfg: &RunCfg, want: Targets) -> Reports {
-    let model = FilerModel::f630();
-    let (mut home, runs) = prepare(cfg.scale, cfg.seed);
-    let mut tables = BTreeMap::new();
-    if want.table2 || want.table3 {
-        let basic = run_basic(&mut home, &runs, &model);
-        if want.table2 {
-            tables.insert("table2".to_string(), report("table2", &basic.attribs));
-        }
-        if want.table3 {
-            tables.insert("table3".to_string(), report("table3", &basic.attribs));
-        }
-    }
-    if want.table4 {
-        let r = run_parallel(&mut home, &runs, &model, 2);
-        tables.insert("table4".to_string(), report("table4", &r.attribs));
-    }
-    if want.table5 {
-        let r = run_parallel(&mut home, &runs, &model, 4);
-        tables.insert("table5".to_string(), report("table5", &r.attribs));
-    }
-    let mut sweeps = BTreeMap::new();
-    if want.net {
-        let r = run_net(&mut home, &runs, &model);
-        tables.insert("table_net".to_string(), r.table);
-        sweeps.insert("net_sweep".to_string(), r.sweep);
-    }
-    if want.sweep {
-        sweeps.insert("sweep".to_string(), sweep(&mut home, &runs, &model));
-    }
-    Reports { tables, sweeps }
 }
 
 fn fmt_utils(utils: &[(String, f64)]) -> String {
@@ -255,18 +199,23 @@ pub fn render_sweep(s: &SweepReport) -> String {
         }
         out.push('\n');
     }
-    let mut any = false;
+    out.push_str(&render_crossovers(s, "no crossovers detected"));
+    out
+}
+
+/// One line per detected crossover along the sweep, or `none` alone.
+pub fn render_crossovers(s: &SweepReport, none: &str) -> String {
+    let mut out = String::new();
     for op in s.op_names() {
         for x in s.crossovers(&op) {
-            any = true;
             out.push_str(&format!(
                 "crossover: {op}: {} -> {} between {}={} and {}\n",
                 x.from, x.to, s.param, x.param_lo, x.param_hi
             ));
         }
     }
-    if !any {
-        out.push_str("no crossovers detected\n");
+    if out.is_empty() {
+        out = format!("{none}\n");
     }
     out
 }
@@ -319,132 +268,44 @@ fn emit_openmetrics(out_dir: &Path, reports: &Reports) {
     }
 }
 
-const USAGE: &str = "usage: bench explain <table2|table3|table4|table5|net|sweep|all> \
-[--check FILE] [--scale F] [--seed N] [--out-dir DIR]";
-
 /// CLI entry point for `bench explain`. Exit codes: 0 = rendered (and
-/// all claims passed), 1 = at least one claim failed, 2 = usage or
-/// claims-file parse error.
-pub fn run(args: &[String]) -> ExitCode {
-    let mut target: Option<String> = None;
-    let mut check: Option<PathBuf> = None;
-    let mut cfg = RunCfg {
-        scale: 1.0 / 32.0,
-        seed: 1999,
-        out_dir: crate::runners::default_out_dir(),
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let need = |i: usize| -> Result<&String, String> {
-            args.get(i + 1)
-                .ok_or_else(|| format!("{} needs a value", args[i]))
-        };
-        let fail = |e: String| {
-            eprintln!("bench explain: {e}");
-            eprintln!("{USAGE}");
-        };
-        match args[i].as_str() {
-            "--check" => {
-                match need(i) {
-                    Ok(v) => check = Some(PathBuf::from(v)),
-                    Err(e) => {
-                        fail(e);
-                        return ExitCode::from(2);
-                    }
-                }
-                i += 2;
-            }
-            "--scale" => {
-                match need(i)
-                    .and_then(|v| v.parse().map_err(|_| "--scale takes a number".to_string()))
-                {
-                    Ok(v) => cfg.scale = v,
-                    Err(e) => {
-                        fail(e);
-                        return ExitCode::from(2);
-                    }
-                }
-                i += 2;
-            }
-            "--seed" => {
-                match need(i)
-                    .and_then(|v| v.parse().map_err(|_| "--seed takes an integer".to_string()))
-                {
-                    Ok(v) => cfg.seed = v,
-                    Err(e) => {
-                        fail(e);
-                        return ExitCode::from(2);
-                    }
-                }
-                i += 2;
-            }
-            "--out-dir" => {
-                match need(i) {
-                    Ok(v) => cfg.out_dir = PathBuf::from(v),
-                    Err(e) => {
-                        fail(e);
-                        return ExitCode::from(2);
-                    }
-                }
-                i += 2;
-            }
-            other if target.is_none() && !other.starts_with('-') => {
-                target = Some(other.to_string());
-                i += 1;
-            }
-            other => {
-                fail(format!("unexpected argument {other:?}"));
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let Some(target) = target else {
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
-    };
-    let Some(want) = Targets::parse(&target) else {
-        eprintln!("bench explain: unknown target {target:?}");
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
-    };
+/// all claims passed), 1 = at least one claim failed; `Err` = usage or
+/// claims-file parse error (exit 2).
+pub fn run(a: &Args) -> Result<ExitCode, String> {
+    let target = a.positional.first().ok_or("explain needs a target")?;
+    let views = views_for(target).ok_or_else(|| format!("unknown explain target {target:?}"))?;
 
     // Parse the claims file *before* the expensive run.
-    let parsed_claims = match &check {
+    let gate = match &a.check {
         Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("bench explain: cannot read {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            match claims::parse(&text) {
-                Ok(c) => Some(c),
-                Err(e) => {
-                    eprintln!("bench explain: {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            }
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+            let claims = claims::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+            Some((path, claims))
         }
         None => None,
     };
 
-    let reports = compute(&cfg, want);
+    let cfg = RunCfg {
+        scale: a.scale.unwrap_or(TABLE_SCALE),
+        seed: a.seed.unwrap_or(1999),
+        out_dir: a.out_dir(),
+        spec_path: None,
+        target: backup_core::Target::default(),
+    };
+    let reports = pipeline(&cfg, &views, false).reports;
     print!("{}", render(&reports));
     emit(&cfg.out_dir, &reports);
     emit_openmetrics(&cfg.out_dir, &reports);
 
-    if let Some(cs) = parsed_claims {
+    if let Some((path, cs)) = gate {
         let results = claims::evaluate(&cs, &reports.tables, &reports.sweeps);
         let (text, failed) = claims::render(&results);
-        println!(
-            "\nclaims gate ({}):",
-            check.expect("checked above").display()
-        );
+        println!("\nclaims gate ({}):", path.display());
         print!("{text}");
         if failed > 0 {
-            return ExitCode::from(1);
+            return Ok(ExitCode::from(1));
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

@@ -19,11 +19,15 @@
 //!    numbers.
 //!
 //! One binary drives everything: `bench <experiment>` (see [`cli`]),
-//! with `bench all --jobs N` running the whole matrix on a deterministic
-//! thread pool ([`pool`]) — every experiment on a fresh thread with
-//! virgin thread-local obs state, outputs printed in submission order,
-//! so parallel artifacts are byte-identical to serial ones. (The old
-//! per-experiment binaries are gone; `bench <name>` is the only entry.)
+//! where the experiments are the rows of one registry
+//! ([`runners::EXPERIMENTS`]) and Tables 2–5, the scaling figure, the
+//! network table and `bench explain` are all views selected from one
+//! pipeline ([`runners::pipeline`]) over the four operations one
+//! functional pass measured ([`experiments::OpRun`]). `bench all --jobs N`
+//! runs the whole matrix on a deterministic thread pool ([`pool`]) —
+//! every experiment on a fresh thread with virgin thread-local obs state,
+//! outputs printed in submission order, so parallel artifacts are
+//! byte-identical to serial ones.
 
 pub mod build;
 pub mod calibrate;

@@ -12,27 +12,51 @@
 //! numbers. Trace events recorded during the functional pass are mapped
 //! onto the same axis by [`obs::event::assign_times`].
 
-use obs::event::Event;
 use obs::timeline::TimelineSample;
 use obs::Span;
 use obs::TimedEvent;
 use obs::UtilizationTimeline;
 
+use crate::experiments::OpRun;
 use crate::experiments::SimOp;
 
-/// One operation's contribution: its measured span forest plus its solved
-/// simulation.
-pub struct OpObs<'a> {
-    /// The span forest the functional run recorded (roots first).
-    pub spans: &'a [Span],
-    /// Trace events drained after the same run (span ids are op-local).
-    pub events: &'a [Event],
-    /// The fluid solve for the paper-scaled profiles of the same run.
-    pub sim: &'a SimOp,
+/// Appends one solved operation's utilization histories at `offset` on
+/// the artifact's single time axis, merging per resource.
+fn append_timelines(timelines: &mut Vec<UtilizationTimeline>, sim: &SimOp, offset: f64) {
+    for tl in &sim.timelines {
+        let shifted = tl.samples.iter().map(|s| TimelineSample {
+            t0: s.t0 + offset,
+            t1: s.t1 + offset,
+            utilization: s.utilization,
+        });
+        match timelines.iter_mut().find(|t| t.resource == tl.resource) {
+            Some(existing) => existing.samples.extend(shifted),
+            None => timelines.push(UtilizationTimeline {
+                resource: tl.resource.clone(),
+                capacity: tl.capacity,
+                samples: shifted.collect(),
+            }),
+        }
+    }
+}
+
+fn artifact(
+    experiment: &str,
+    spans: Vec<Span>,
+    timelines: Vec<UtilizationTimeline>,
+) -> obs::Artifact {
+    obs::Artifact {
+        experiment: experiment.into(),
+        spans,
+        metrics: obs::snapshot(),
+        histograms: obs::metrics::histogram_snapshots(),
+        timelines,
+    }
 }
 
 /// Joins measured spans with solved times into one artifact, plus the
-/// trace events stamped onto the same time axis.
+/// trace events stamped onto the same time axis: `runs[i]` is what the
+/// functional pass recorded for the operation `sims[i]` solved.
 ///
 /// `factor` is the measurement → paper scale factor; span deltas,
 /// annotations, and CPU seconds are multiplied by it. Operations are
@@ -42,22 +66,22 @@ pub struct OpObs<'a> {
 pub fn assemble(
     experiment: &str,
     factor: f64,
-    ops: &[OpObs<'_>],
+    runs: &[OpRun],
+    sims: &[SimOp],
 ) -> (obs::Artifact, Vec<TimedEvent>) {
     let mut spans: Vec<Span> = Vec::new();
     let mut events: Vec<TimedEvent> = Vec::new();
     let mut timelines: Vec<UtilizationTimeline> = Vec::new();
     let mut offset = 0.0;
-    for op in ops {
+    for (op, sim) in runs.iter().zip(sims) {
         let base = spans.len();
-        for span in op.spans {
+        for span in &op.spans {
             let mut span = span.clone();
             span.parent = span.parent.map(|p| p + base);
             let (t0, t1) = if span.parent.is_none() {
-                (0.0, op.sim.elapsed)
+                (0.0, sim.elapsed)
             } else {
-                op.sim
-                    .windows
+                sim.windows
                     .iter()
                     .find(|(name, _, _)| *name == span.name)
                     .map(|(_, t0, t1)| (*t0, *t1))
@@ -78,35 +102,14 @@ pub fn assemble(
         // freshly pushed slice is indexed the same way and already
         // carries the offset times, so assigned times land directly on
         // the artifact's axis.
-        for mut te in obs::event::assign_times(&spans[base..], op.events) {
+        for mut te in obs::event::assign_times(&spans[base..], &op.events) {
             te.event.span = te.event.span.map(|s| s + base);
             events.push(te);
         }
-        for tl in &op.sim.timelines {
-            let shifted = tl.samples.iter().map(|s| TimelineSample {
-                t0: s.t0 + offset,
-                t1: s.t1 + offset,
-                utilization: s.utilization,
-            });
-            match timelines.iter_mut().find(|t| t.resource == tl.resource) {
-                Some(existing) => existing.samples.extend(shifted),
-                None => timelines.push(UtilizationTimeline {
-                    resource: tl.resource.clone(),
-                    capacity: tl.capacity,
-                    samples: shifted.collect(),
-                }),
-            }
-        }
-        offset += op.sim.elapsed;
+        append_timelines(&mut timelines, sim, offset);
+        offset += sim.elapsed;
     }
-    let artifact = obs::Artifact {
-        experiment: experiment.into(),
-        spans,
-        metrics: obs::snapshot(),
-        histograms: obs::metrics::histogram_snapshots(),
-        timelines,
-    };
-    (artifact, events)
+    (artifact(experiment, spans, timelines), events)
 }
 
 /// Builds a spans-only artifact straight from solved operations (the
@@ -137,30 +140,10 @@ pub fn assemble_sim_only(experiment: &str, ops: &[(&str, &SimOp)]) -> obs::Artif
                 ..Span::default()
             });
         }
-        for tl in &sim.timelines {
-            let shifted = tl.samples.iter().map(|s| TimelineSample {
-                t0: s.t0 + offset,
-                t1: s.t1 + offset,
-                utilization: s.utilization,
-            });
-            match timelines.iter_mut().find(|t| t.resource == tl.resource) {
-                Some(existing) => existing.samples.extend(shifted),
-                None => timelines.push(UtilizationTimeline {
-                    resource: tl.resource.clone(),
-                    capacity: tl.capacity,
-                    samples: shifted.collect(),
-                }),
-            }
-        }
+        append_timelines(&mut timelines, sim, offset);
         offset += sim.elapsed;
     }
-    obs::Artifact {
-        experiment: experiment.into(),
-        spans,
-        metrics: obs::snapshot(),
-        histograms: obs::metrics::histogram_snapshots(),
-        timelines,
-    }
+    artifact(experiment, spans, timelines)
 }
 
 /// Writes the artifact under `dir`, logging to stderr only (stdout is
@@ -170,11 +153,6 @@ pub fn emit_to(dir: &std::path::Path, artifact: &obs::Artifact) {
         Ok(path) => eprintln!("[obs] wrote {}", path.display()),
         Err(e) => eprintln!("[obs] could not write artifact: {e}"),
     }
-}
-
-/// Writes the artifact under `results/` (the default output directory).
-pub fn emit(artifact: &obs::Artifact) {
-    emit_to(std::path::Path::new("results"), artifact);
 }
 
 /// Writes `<dir>/trace_<experiment>.json` — the Chrome/Perfetto trace
@@ -193,9 +171,4 @@ pub fn emit_trace_to(dir: &std::path::Path, artifact: &obs::Artifact, events: &[
         Ok(()) => eprintln!("[obs] wrote {}", path.display()),
         Err(e) => eprintln!("[obs] could not write trace: {e}"),
     }
-}
-
-/// Writes `results/trace_<experiment>.json` (the default output directory).
-pub fn emit_trace(artifact: &obs::Artifact, events: &[TimedEvent]) {
-    emit_trace_to(std::path::Path::new("results"), artifact, events);
 }

@@ -1,15 +1,15 @@
-//! Library entry points for every experiment the `bench` CLI exposes.
+//! Every experiment the `bench` CLI exposes: the [`EXPERIMENTS`]
+//! registry, the table [`pipeline`] most of them select views from, and
+//! the bodies of the rest.
 //!
-//! Each runner is the body of what used to be a standalone binary in
-//! `src/bin/`: it executes the experiment, writes its artifacts under
-//! `out_dir`, and **returns** its stdout text instead of printing it.
+//! A runner executes its experiment, writes its artifacts under
+//! `cfg.out_dir`, and **returns** its stdout text instead of printing it.
 //! That inversion is what makes the parallel runner deterministic: jobs
 //! run on fresh threads (virgin thread-local obs state, exactly like a
 //! standalone process) and the harness prints the returned text in
 //! submission order, so `--jobs N` output is byte-identical to serial.
 
 use std::fmt::Write as _;
-use std::path::Path;
 use std::path::PathBuf;
 
 use backup_core::engine::BackupEngine;
@@ -54,6 +54,10 @@ use workload::age::age;
 use workload::age::AgingOptions;
 use workload::churn::churn;
 use workload::churn::ChurnOptions;
+use workload::crash as harness;
+use workload::crash::Mutation;
+use workload::crash::Nvram;
+use workload::crash::Shape;
 use workload::frag::fragmentation;
 use workload::populate::populate;
 use workload::profile::VolumeProfile;
@@ -71,6 +75,7 @@ use crate::experiments::run_parallel;
 use crate::experiments::run_scaling;
 use crate::experiments::simulate_op;
 use crate::experiments::NetResults;
+use crate::explain::Reports;
 use crate::obsout;
 use crate::tables::render_parallel_summary;
 use crate::tables::render_scaling;
@@ -80,188 +85,273 @@ use crate::tables::PAPER_TABLE3;
 use crate::tables::PAPER_TABLE4;
 use crate::tables::PAPER_TABLE5;
 
-/// The shared knobs every volume-building experiment takes.
+/// The knobs an experiment run takes. Every experiment reads the ones
+/// it has a use for: `table1` and `crash` run fixed tiny volumes and
+/// ignore `scale`; only `chaos` opens a target or reads a fault spec.
 #[derive(Debug, Clone)]
 pub struct RunCfg {
     /// Fraction of the paper's 188 GB (1.0 = full size).
     pub scale: f64,
-    /// Workload seed.
+    /// Workload (and fault / crash-plan) seed.
     pub seed: u64,
     /// Where artifacts land (`results` by default).
     pub out_dir: PathBuf,
+    /// Optional TOML fault-spec override (`--spec`).
+    pub spec_path: Option<String>,
+    /// The medium faults are injected in front of (`--target`).
+    pub target: backup_core::Target,
+}
+
+/// One experiment the `bench` command line offers. [`EXPERIMENTS`] is the
+/// only list of them: the CLI's dispatch, `bench all`, `bench explain`'s
+/// targets and every usage message are read off it.
+pub struct Experiment {
+    /// Subcommand name (`bench <name>`).
+    pub name: &'static str,
+    /// Scale a standalone run uses when `--scale` is absent.
+    pub scale: f64,
+    /// Whether `bench all` runs it.
+    pub in_all: bool,
+    /// Whether its report is named after its seed (`chaos_seed7.txt`), so
+    /// that `--seeds A,B,C` can fan it out without the runs colliding; the
+    /// job label carries the seed too.
+    pub per_seed: bool,
+    /// The pipeline view `bench explain <name>` attributes, if it has one.
+    pub explain: Option<View>,
+    /// Runs it: writes artifacts under `cfg.out_dir`, returns its stdout.
+    pub run: fn(&RunCfg) -> String,
+}
+
+impl Experiment {
+    const fn new(name: &'static str, scale: f64, run: fn(&RunCfg) -> String) -> Experiment {
+        Experiment {
+            name,
+            scale,
+            in_all: false,
+            per_seed: false,
+            explain: None,
+            run,
+        }
+    }
+
+    const fn in_all(mut self) -> Experiment {
+        self.in_all = true;
+        self
+    }
+
+    const fn per_seed(mut self) -> Experiment {
+        self.per_seed = true;
+        self
+    }
+
+    const fn explains(mut self, view: View) -> Experiment {
+        self.explain = Some(view);
+        self
+    }
+
+    /// Looks an experiment up by subcommand name.
+    pub fn find(name: &str) -> Option<&'static Experiment> {
+        EXPERIMENTS.iter().find(|e| e.name == name)
+    }
+}
+
+/// Default scale of everything solved off the table pipeline.
+pub const TABLE_SCALE: f64 = 1.0 / 32.0;
+
+/// Every experiment, in `bench all` order.
+pub const EXPERIMENTS: &[Experiment] = &[
+    Experiment::new("tables", TABLE_SCALE, tables).in_all(),
+    Experiment::new("net", TABLE_SCALE, net)
+        .in_all()
+        .explains(View::Net),
+    Experiment::new("table1", 1.0, table1).in_all(),
+    Experiment::new("table2", TABLE_SCALE, |c| view(c, View::Table2)).explains(View::Table2),
+    Experiment::new("table3", TABLE_SCALE, |c| view(c, View::Table3)).explains(View::Table3),
+    Experiment::new("table4", TABLE_SCALE, |c| view(c, View::Table4)).explains(View::Table4),
+    Experiment::new("table5", TABLE_SCALE, |c| view(c, View::Table5)).explains(View::Table5),
+    Experiment::new("scaling", TABLE_SCALE, |c| view(c, View::Scaling)),
+    Experiment::new("chaos", 1.0 / 1024.0, chaos)
+        .in_all()
+        .per_seed(),
+    Experiment::new("crash", 1.0, crash_consistency)
+        .in_all()
+        .per_seed(),
+    Experiment::new("degraded", 1.0 / 1024.0, degraded).in_all(),
+    Experiment::new("concurrent_volumes", 1.0 / 64.0, concurrent_volumes).in_all(),
+    Experiment::new("single_file_cost", 1.0 / 128.0, single_file_cost).in_all(),
+    Experiment::new("incremental_economics", 1.0 / 128.0, incremental_economics).in_all(),
+    Experiment::new(
+        "ablation_fragmentation",
+        1.0 / 128.0,
+        ablation_fragmentation,
+    )
+    .in_all(),
+    Experiment::new("ablation_readahead", 1.0 / 128.0, ablation_readahead).in_all(),
+];
+
+/// One selectable product of the table pipeline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum View {
+    /// Single-drive summary.
+    Table2,
+    /// Single-drive stage details.
+    Table3,
+    /// Parallel run on 2 drives.
+    Table4,
+    /// Parallel run on 4 drives.
+    Table5,
+    /// The §5.3 drive-count scaling figure (text only).
+    Scaling,
+    /// Tape vs. network crossover table and link-bandwidth sweep.
+    Net,
+    /// The drive-count attribution sweep (report only).
+    Sweep,
+}
+
+impl View {
+    /// The name Tables 2–5's artifacts and reports go by: that of the
+    /// experiment showing the table alone.
+    fn name(self) -> &'static str {
+        EXPERIMENTS
+            .iter()
+            .find(|e| e.explain == Some(self))
+            .map(|e| e.name)
+            .expect("every table view has its own experiment")
+    }
+}
+
+/// What one pass through [`pipeline`] produced.
+pub struct Product {
+    /// The selected tables' text, in table order.
+    pub text: String,
+    /// Bottleneck attribution of everything the pass solved.
+    pub reports: Reports,
 }
 
 const TABLE3_TITLE: &str = "Table 3: Dump and Restore Details (188 GB home, 1 DLT drive)";
 const TABLE4_TITLE: &str = "Table 4: Parallel Backup and Restore Performance on 2 tape drives";
 const TABLE5_TITLE: &str = "Table 5: Parallel Backup and Restore Performance on 4 tape drives";
 
-/// Table 2 alone: single-drive backup/restore performance.
-pub fn table2(cfg: &RunCfg) -> String {
-    obs::event::enable(obs::event::EventConfig::default());
-    let (mut home, runs) = prepare(cfg.scale, cfg.seed);
-    let basic = run_basic(&mut home, &runs, &FilerModel::f630());
-    let out = render_table2(&basic);
-    let mut artifact = basic.obs;
-    artifact.experiment = "table2".into();
-    obsout::emit_to(&cfg.out_dir, &artifact);
-    obsout::emit_trace_to(&cfg.out_dir, &artifact, &basic.trace_events);
-    out
-}
-
-/// Table 3 alone: single-drive stage details.
-pub fn table3(cfg: &RunCfg) -> String {
-    obs::event::enable(obs::event::EventConfig::default());
-    let (mut home, runs) = prepare(cfg.scale, cfg.seed);
-    let basic = run_basic(&mut home, &runs, &FilerModel::f630());
-    let out = render_stage_table(TABLE3_TITLE, &basic.table3, PAPER_TABLE3, false);
-    let mut artifact = basic.obs;
-    artifact.experiment = "table3".into();
-    obsout::emit_to(&cfg.out_dir, &artifact);
-    obsout::emit_trace_to(&cfg.out_dir, &artifact, &basic.trace_events);
-    out
-}
-
-/// Table 4 alone: parallel backup/restore on 2 drives.
-pub fn table4(cfg: &RunCfg) -> String {
-    obs::event::enable(obs::event::EventConfig::default());
-    let (mut home, runs) = prepare(cfg.scale, cfg.seed);
-    let r = run_parallel(&mut home, &runs, &FilerModel::f630(), 2);
-    let mut out = render_stage_table(TABLE4_TITLE, &r.rows, PAPER_TABLE4, true);
-    out.push_str(&render_parallel_summary(&r));
-    let mut artifact = r.obs;
-    artifact.experiment = "table4".into();
-    obsout::emit_to(&cfg.out_dir, &artifact);
-    obsout::emit_trace_to(&cfg.out_dir, &artifact, &[]);
-    out
-}
-
-/// Table 5 alone: parallel backup/restore on 4 drives.
-pub fn table5(cfg: &RunCfg) -> String {
-    obs::event::enable(obs::event::EventConfig::default());
-    let (mut home, runs) = prepare(cfg.scale, cfg.seed);
-    let r = run_parallel(&mut home, &runs, &FilerModel::f630(), 4);
-    let mut out = render_stage_table(TABLE5_TITLE, &r.rows, PAPER_TABLE5, true);
-    out.push_str(&render_parallel_summary(&r));
-    let mut artifact = r.obs;
-    artifact.experiment = "table5".into();
-    obsout::emit_to(&cfg.out_dir, &artifact);
-    obsout::emit_trace_to(&cfg.out_dir, &artifact, &[]);
-    out
-}
-
-/// The whole table 2–5 suite (plus the §5.3 scaling sweep) off **one**
-/// volume build and one functional pass. Emits the same artifacts the
-/// four standalone table runs would, byte for byte: the sims downstream
-/// of [`prepare`] never touch obs state, so every artifact sees the
-/// identical metrics snapshot regardless of which runner emitted it.
-pub fn tables(cfg: &RunCfg) -> String {
-    obs::event::enable(obs::event::EventConfig::default());
-    let model = FilerModel::f630();
-    let (mut home, runs) = prepare(cfg.scale, cfg.seed);
-
-    let basic = run_basic(&mut home, &runs, &model);
-    let mut out = render_table2(&basic);
-    out.push_str(&render_stage_table(
-        TABLE3_TITLE,
-        &basic.table3,
-        PAPER_TABLE3,
-        false,
-    ));
-    for name in ["table2", "table3"] {
-        let mut artifact = basic.obs.clone();
+/// The one path from a volume to a table: prepare (build `home`, run the
+/// functional pass) → solve → render → emit, for whichever `views` the
+/// caller selects, all off one volume build.
+///
+/// With `obs` set the functional pass is traced and every solved table
+/// leaves its `obs_<name>.json` (Tables 2–5 also their Chrome trace,
+/// `trace_<name>.json`) under `cfg.out_dir`; `bench explain` passes
+/// `false` and reads only the returned reports. The sims
+/// downstream of [`prepare`] never touch obs state, so every artifact
+/// sees the identical metrics snapshot whichever selection emitted it.
+pub fn pipeline(cfg: &RunCfg, views: &[View], obs: bool) -> Product {
+    let want = |v: View| views.contains(&v);
+    let emit = |name: &str, artifact: &obs::Artifact, trace: Option<&[obs::TimedEvent]>| {
+        if !obs {
+            return;
+        }
+        let mut artifact = artifact.clone();
         artifact.experiment = name.into();
         obsout::emit_to(&cfg.out_dir, &artifact);
-        obsout::emit_trace_to(&cfg.out_dir, &artifact, &basic.trace_events);
+        if let Some(events) = trace {
+            obsout::emit_trace_to(&cfg.out_dir, &artifact, events);
+        }
+    };
+    fn attribute(reports: &mut Reports, name: &str, ops: &[obs::OpAttribution]) {
+        let report = obs::AttribReport {
+            experiment: name.to_string(),
+            ops: ops.to_vec(),
+        };
+        reports.tables.insert(name.to_string(), report);
     }
-    let mut artifact = basic.obs.clone();
-    artifact.experiment = "all".into();
-    obsout::emit_to(&cfg.out_dir, &artifact);
 
-    let t4 = run_parallel(&mut home, &runs, &model, 2);
-    out.push_str(&render_stage_table(
-        TABLE4_TITLE,
-        &t4.rows,
-        PAPER_TABLE4,
-        true,
-    ));
-    out.push_str(&render_parallel_summary(&t4));
-    let mut artifact = t4.obs;
-    artifact.experiment = "table4".into();
-    obsout::emit_to(&cfg.out_dir, &artifact);
-    obsout::emit_trace_to(&cfg.out_dir, &artifact, &[]);
-
-    let t5 = run_parallel(&mut home, &runs, &model, 4);
-    out.push_str(&render_stage_table(
-        TABLE5_TITLE,
-        &t5.rows,
-        PAPER_TABLE5,
-        true,
-    ));
-    out.push_str(&render_parallel_summary(&t5));
-    let mut artifact = t5.obs;
-    artifact.experiment = "table5".into();
-    obsout::emit_to(&cfg.out_dir, &artifact);
-    obsout::emit_trace_to(&cfg.out_dir, &artifact, &[]);
-
-    let points = run_scaling(&mut home, &runs, &model);
-    out.push_str(&render_scaling(&points));
-
-    // Attribution artifacts, uniformly with the obs artifacts above:
-    // the same `ATTRIB_*.json` reports `bench explain` writes, emitted
-    // here too so the parallel-determinism net covers them on every
-    // `bench all`. Extra sims only — attribution never touches obs
-    // state, so the tables and artifacts above are unaffected.
-    let mut attrib_tables = std::collections::BTreeMap::new();
-    for name in ["table2", "table3"] {
-        attrib_tables.insert(
-            name.to_string(),
-            obs::AttribReport {
-                experiment: name.to_string(),
-                ops: basic.attribs.clone(),
-            },
-        );
+    if obs {
+        obs::event::enable(obs::event::EventConfig::default());
     }
-    attrib_tables.insert(
-        "table4".to_string(),
-        obs::AttribReport {
-            experiment: "table4".to_string(),
-            ops: t4.attribs,
-        },
-    );
-    attrib_tables.insert(
-        "table5".to_string(),
-        obs::AttribReport {
-            experiment: "table5".to_string(),
-            ops: t5.attribs,
-        },
-    );
-    let sweep = crate::explain::sweep(&mut home, &runs, &model);
-    crate::explain::emit(
-        &cfg.out_dir,
-        &crate::explain::Reports {
-            tables: attrib_tables,
-            sweeps: [("sweep".to_string(), sweep)].into_iter().collect(),
-        },
-    );
-    out
+    let model = FilerModel::f630();
+    let (mut home, runs) = prepare(cfg.scale, cfg.seed);
+    let mut text = String::new();
+    let mut reports = Reports::default();
+
+    if want(View::Table2) || want(View::Table3) {
+        let basic = run_basic(&mut home, &runs, &model);
+        for v in [View::Table2, View::Table3] {
+            if !want(v) {
+                continue;
+            }
+            text.push_str(&match v {
+                View::Table2 => render_table2(&basic),
+                _ => render_stage_table(TABLE3_TITLE, &basic.table3, PAPER_TABLE3, false),
+            });
+            emit(v.name(), &basic.obs, Some(&basic.trace_events));
+            attribute(&mut reports, v.name(), &basic.attribs);
+        }
+        // Both single-drive tables together are the whole basic suite:
+        // its artifact also goes out under the suite's own name.
+        if want(View::Table2) && want(View::Table3) {
+            emit("all", &basic.obs, None);
+        }
+    }
+    for (v, drives, title, paper) in [
+        (View::Table4, 2, TABLE4_TITLE, PAPER_TABLE4),
+        (View::Table5, 4, TABLE5_TITLE, PAPER_TABLE5),
+    ] {
+        if !want(v) {
+            continue;
+        }
+        let r = run_parallel(&mut home, &runs, &model, drives);
+        text.push_str(&render_stage_table(title, &r.rows, paper, true));
+        text.push_str(&render_parallel_summary(&r));
+        emit(v.name(), &r.obs, Some(&[]));
+        attribute(&mut reports, v.name(), &r.attribs);
+    }
+    if want(View::Scaling) {
+        text.push_str(&render_scaling(&run_scaling(&mut home, &runs, &model)));
+    }
+    if want(View::Net) {
+        let r = run_net(&mut home, &runs, &model);
+        text.push_str(&render_net(&r));
+        emit(&r.obs.experiment, &r.obs, None);
+        reports.tables.insert(r.table.experiment.clone(), r.table);
+        reports.sweeps.insert(r.sweep.experiment.clone(), r.sweep);
+    }
+    if want(View::Sweep) {
+        let sweep = crate::explain::sweep(&mut home, &runs, &model);
+        reports.sweeps.insert(sweep.experiment.clone(), sweep);
+    }
+    Product { text, reports }
+}
+
+/// One view alone: its text, its obs artifacts.
+fn view(cfg: &RunCfg, view: View) -> String {
+    pipeline(cfg, &[view], true).text
+}
+
+/// The whole table 2–5 suite plus the §5.3 scaling figure off **one**
+/// volume build and one functional pass, emitting the same obs artifacts
+/// the standalone table runs would, byte for byte — and the `ATTRIB_*`
+/// reports `bench explain` writes, so the parallel-determinism net covers
+/// them on every `bench all`.
+pub fn tables(cfg: &RunCfg) -> String {
+    let views = [
+        View::Table2,
+        View::Table3,
+        View::Table4,
+        View::Table5,
+        View::Scaling,
+        View::Sweep,
+    ];
+    let product = pipeline(cfg, &views, true);
+    crate::explain::emit(&cfg.out_dir, &product.reports);
+    product.text
 }
 
 /// The tape-vs-network crossover table: every operation against a DLT
 /// drive and each preset link, with per-cell bottleneck attribution and
-/// the link-bandwidth sweep's detected crossovers.
+/// the link-bandwidth sweep's detected crossovers (and both as `ATTRIB_*`
+/// reports).
 pub fn net(cfg: &RunCfg) -> String {
-    obs::event::enable(obs::event::EventConfig::default());
-    let (mut home, runs) = prepare(cfg.scale, cfg.seed);
-    let r = run_net(&mut home, &runs, &FilerModel::f630());
-    let out = render_net(&r);
-    obsout::emit_to(&cfg.out_dir, &r.obs);
-    for w in [r.table.write(&cfg.out_dir), r.sweep.write(&cfg.out_dir)] {
-        match w {
-            Ok(p) => eprintln!("[bench] wrote {}", p.display()),
-            Err(e) => eprintln!("[bench] could not write attribution artifact: {e}"),
-        }
-    }
-    out
+    let product = pipeline(cfg, &[View::Net], true);
+    crate::explain::emit(&cfg.out_dir, &product.reports);
+    product.text
 }
 
 fn render_net(r: &NetResults) -> String {
@@ -304,33 +394,16 @@ fn render_net(r: &NetResults) -> String {
         );
     }
     let _ = writeln!(w, "{}", "-".repeat(92));
-    let mut any = false;
-    for op in r.sweep.op_names() {
-        for x in r.sweep.crossovers(&op) {
-            any = true;
-            let _ = writeln!(
-                w,
-                "crossover: {op}: {} -> {} between {}={} and {}",
-                x.from, x.to, r.sweep.param, x.param_lo, x.param_hi
-            );
-        }
-    }
-    if !any {
-        let _ = writeln!(w, "no crossovers detected along the link sweep");
-    }
+    out.push_str(&crate::explain::render_crossovers(
+        &r.sweep,
+        "no crossovers detected along the link sweep",
+    ));
     out
-}
-
-/// The §5.3 scaling sweep alone (no artifacts).
-pub fn scaling(cfg: &RunCfg) -> String {
-    let (mut home, runs) = prepare(cfg.scale, cfg.seed);
-    let points = run_scaling(&mut home, &runs, &FilerModel::f630());
-    render_scaling(&points)
 }
 
 /// Table 1: block states for incremental image dump (fixed tiny volume,
 /// no knobs — the demonstration is exact, not statistical).
-pub fn table1() -> String {
+pub fn table1(_cfg: &RunCfg) -> String {
     let vol = Volume::new(VolumeGeometry::uniform(1, 4, 8192, DiskPerf::ideal()));
     let mut fs = Wafl::format(vol, WaflConfig::default()).expect("format");
 
@@ -573,30 +646,20 @@ pub fn concurrent_volumes(cfg: &RunCfg) -> String {
     let rlse_stages = run_dump(&mut rlse);
 
     // Isolated and concurrent fluid runs.
-    let solo = |stages: &[backup_core::StageProfile], arms: f64, n: usize| -> f64 {
-        let mut sim = FluidSim::new();
-        let ids = ResourceIds {
-            cpu: sim.add_resource("cpu", 1.0),
-            disk: sim.add_resource("disk", arms),
-            tape: sim.add_resource("tape", 1.0),
-            meta: sim.add_resource("meta", 1.0),
-        };
-        let s = sim.add_stream(Stream {
-            name: "dump".into(),
-            start_at: 0.0,
-            stages: stages
-                .iter()
-                .map(|p| stage_to_fluid(p, &model, &ids, n, OpKind::LogicalDump))
-                .collect(),
-        });
-        let trace = sim.run().expect("solvable");
-        let (t0, t1) = trace.stream_span(s).expect("ran");
-        t1 - t0
+    let solo = |stages: &[backup_core::StageProfile], arms: f64| {
+        simulate_op(
+            "dump",
+            &[stages.to_vec()],
+            arms,
+            OpKind::LogicalDump,
+            &model,
+        )
+        .elapsed
     };
     let home_arms = home.profile.geometry.total_disks() as f64;
     let rlse_arms = rlse.profile.geometry.total_disks() as f64;
-    let home_alone = solo(&home_stages, home_arms, 1);
-    let rlse_alone = solo(&rlse_stages, rlse_arms, 1);
+    let home_alone = solo(&home_stages, home_arms);
+    let rlse_alone = solo(&rlse_stages, rlse_arms);
 
     // Concurrent: shared CPU, independent disk arrays and drives.
     let mut sim = FluidSim::new();
@@ -980,22 +1043,6 @@ pub fn ablation_readahead(cfg: &RunCfg) -> String {
     out
 }
 
-/// Knobs for one chaos run.
-#[derive(Debug, Clone)]
-pub struct ChaosCfg {
-    /// Fault + workload seed.
-    pub seed: u64,
-    /// Volume scale.
-    pub scale: f64,
-    /// Optional TOML fault-spec override.
-    pub spec_path: Option<String>,
-    /// The medium faults are injected in front of (tape or a network
-    /// link).
-    pub target: backup_core::Target,
-    /// Where `chaos_seed<N>.txt` lands.
-    pub out_dir: PathBuf,
-}
-
 /// The default chaos mix: frequent-enough transient faults that every
 /// run exercises the retry path, plus a mid-dump RAID member failure.
 fn default_chaos_spec(seed: u64) -> FaultSpec {
@@ -1039,11 +1086,21 @@ fn chaos_counters() -> (u64, u64, u64, u64) {
     )
 }
 
+/// Writes a per-seed report as `out_dir/<name>_seed<N>.txt` and hands it
+/// back as the run's stdout.
+fn write_report(cfg: &RunCfg, name: &str, report: String) -> String {
+    let _ = std::fs::create_dir_all(&cfg.out_dir);
+    let path = cfg.out_dir.join(format!("{name}_seed{}.txt", cfg.seed));
+    std::fs::write(&path, &report).expect("write report");
+    eprintln!("[{name}] report written to {}", path.display());
+    report
+}
+
 /// One deterministic chaos run: injects a seeded [`FaultSpec`] into both
 /// backup engines and reports whether the recovery machinery held. The
 /// report — returned and written to `out_dir/chaos_seed<N>.txt` — is a
-/// pure function of the seed, scale, and spec.
-pub fn chaos(cfg: &ChaosCfg) -> String {
+/// pure function of the seed, scale, target, and spec.
+pub fn chaos(cfg: &RunCfg) -> String {
     let seed = cfg.seed;
     let scale = cfg.scale;
     let spec = match &cfg.spec_path {
@@ -1088,259 +1145,123 @@ pub fn chaos(cfg: &ChaosCfg) -> String {
         .set_retry_policy(RetryPolicy::media_default());
     let _ = obs::event::drain(); // shed build-phase events
 
-    let policy = RetryPolicy::media_default();
-
-    // ---- Logical roundtrip under chaos ----------------------------------
-    eprintln!("[chaos] logical dump/restore under injection...");
-    let proxy = FaultProxy::new(
-        cfg.target.open(),
-        &spec.tape,
-        SimRng::seed_from_u64(spec.seed),
-    );
-    let mut media = RetryMedia::new(proxy, policy);
-    let mut logical = LogicalEngine::new(DumpOptions::default());
-    let (r0, f0, rr0, dg0) = chaos_counters();
-    match logical.dump(&mut home.fs, &mut media) {
-        Ok(out) => {
-            writeln!(
-                w,
-                "logical dump: ok files={} dirs={} blocks={} retries={} degraded={}",
-                out.files, out.dirs, out.blocks, out.retries, out.degraded
-            )
-            .unwrap();
-            let mut target = Wafl::format_with(
-                Volume::new(geometry.clone()),
-                WaflConfig::default(),
-                home.fs.meter(),
-                CostModel::f630(),
-            )
-            .expect("format restore target");
-            match logical.restore(&mut target, &mut media) {
-                Ok(rout) => {
-                    let diffs = compare_trees(&mut home.fs, &mut target).expect("compare");
-                    writeln!(
-                        w,
-                        "logical restore: ok files={} retries={} verify_diffs={}",
-                        rout.files,
-                        rout.retries,
-                        diffs.len()
+    // One roundtrip per strategy under the same injection. The physical
+    // pass draws its faults from a decorrelated stream of the same seed.
+    let engines: [(Box<dyn BackupEngine>, u64); 2] = [
+        (Box::new(LogicalEngine::new(DumpOptions::default())), 0),
+        (
+            Box::new(PhysicalEngine::new("chaos.base")),
+            0x9e3779b97f4a7c15,
+        ),
+    ];
+    for (mut engine, salt) in engines {
+        let kind = engine.name();
+        let logical = kind == "logical";
+        eprintln!("[chaos] {kind} dump/restore under injection...");
+        let proxy = FaultProxy::new(
+            cfg.target.open(),
+            &spec.tape,
+            SimRng::seed_from_u64(spec.seed ^ salt),
+        );
+        let mut media = RetryMedia::new(proxy, RetryPolicy::media_default());
+        let before = chaos_counters();
+        let permanent = |e: &backup_core::engine::BackupError| {
+            assert!(!e.is_transient(), "surfaced error must be permanent: {e}");
+        };
+        match engine.dump(&mut home.fs, &mut media) {
+            Ok(out) => {
+                let moved = if logical {
+                    format!(
+                        "files={} dirs={} blocks={}",
+                        out.files, out.dirs, out.blocks
                     )
-                    .unwrap();
-                    assert!(diffs.is_empty(), "logical verify failed: {diffs:?}");
-                }
-                Err(e) => {
-                    assert!(!e.is_transient(), "surfaced error must be permanent: {e}");
-                    writeln!(w, "logical restore: permanent error: {e}").unwrap();
+                } else {
+                    format!("blocks={}", out.blocks)
+                };
+                writeln!(
+                    w,
+                    "{kind} dump: ok {moved} retries={} degraded={}",
+                    out.retries, out.degraded
+                )
+                .unwrap();
+                let mut target = Wafl::format_with(
+                    Volume::new(geometry.clone()),
+                    WaflConfig::default(),
+                    home.fs.meter(),
+                    CostModel::f630(),
+                )
+                .expect("format restore target");
+                match engine.restore(&mut target, &mut media) {
+                    Ok(rout) => {
+                        let (moved, ndiffs) = if logical {
+                            let diffs = compare_trees(&mut home.fs, &mut target).expect("compare");
+                            assert!(diffs.is_empty(), "logical verify failed: {diffs:?}");
+                            (format!("files={}", rout.files), diffs.len())
+                        } else {
+                            let diffs = compare_used_blocks(&mut home.fs, target.volume_mut())
+                                .expect("compare blocks");
+                            assert!(diffs.is_empty(), "physical verify failed: {diffs:?}");
+                            (format!("blocks={}", rout.blocks), diffs.len())
+                        };
+                        writeln!(
+                            w,
+                            "{kind} restore: ok {moved} retries={} verify_diffs={ndiffs}",
+                            rout.retries
+                        )
+                        .unwrap();
+                    }
+                    Err(e) => {
+                        permanent(&e);
+                        writeln!(w, "{kind} restore: permanent error: {e}").unwrap();
+                    }
                 }
             }
-        }
-        Err(e) => {
-            assert!(!e.is_transient(), "surfaced error must be permanent: {e}");
-            writeln!(w, "logical dump: permanent error: {e}").unwrap();
-        }
-    }
-    let (r1, f1, rr1, dg1) = chaos_counters();
-    let (lg_events, lg_digest) = event_digest();
-    writeln!(
-        w,
-        "logical counters: media_retries={} injected={} raid_retries={} degraded_reads={}",
-        r1 - r0,
-        f1 - f0,
-        rr1 - rr0,
-        dg1 - dg0
-    )
-    .unwrap();
-    writeln!(
-        w,
-        "logical trace: events={lg_events} digest={lg_digest:016x}"
-    )
-    .unwrap();
-
-    // ---- Physical roundtrip under chaos ---------------------------------
-    eprintln!("[chaos] physical dump/restore under injection...");
-    let proxy = FaultProxy::new(
-        cfg.target.open(),
-        &spec.tape,
-        SimRng::seed_from_u64(spec.seed ^ 0x9e3779b97f4a7c15),
-    );
-    let mut media = RetryMedia::new(proxy, policy);
-    let mut physical = PhysicalEngine::new("chaos.base");
-    match physical.dump(&mut home.fs, &mut media) {
-        Ok(out) => {
-            writeln!(
-                w,
-                "physical dump: ok blocks={} retries={} degraded={}",
-                out.blocks, out.retries, out.degraded
-            )
-            .unwrap();
-            let mut target = Wafl::format_with(
-                Volume::new(geometry),
-                WaflConfig::default(),
-                home.fs.meter(),
-                CostModel::f630(),
-            )
-            .expect("format image target");
-            match physical.restore(&mut target, &mut media) {
-                Ok(rout) => {
-                    let diffs = compare_used_blocks(&mut home.fs, target.volume_mut())
-                        .expect("compare blocks");
-                    writeln!(
-                        w,
-                        "physical restore: ok blocks={} retries={} verify_diffs={}",
-                        rout.blocks,
-                        rout.retries,
-                        diffs.len()
-                    )
-                    .unwrap();
-                    assert!(diffs.is_empty(), "physical verify failed: {diffs:?}");
-                }
-                Err(e) => {
-                    assert!(!e.is_transient(), "surfaced error must be permanent: {e}");
-                    writeln!(w, "physical restore: permanent error: {e}").unwrap();
-                }
+            Err(e) => {
+                permanent(&e);
+                writeln!(w, "{kind} dump: permanent error: {e}").unwrap();
             }
         }
-        Err(e) => {
-            assert!(!e.is_transient(), "surfaced error must be permanent: {e}");
-            writeln!(w, "physical dump: permanent error: {e}").unwrap();
-        }
+        let after = chaos_counters();
+        let (events, digest) = event_digest();
+        writeln!(
+            w,
+            "{kind} counters: media_retries={} injected={} raid_retries={} degraded_reads={}",
+            after.0 - before.0,
+            after.1 - before.1,
+            after.2 - before.2,
+            after.3 - before.3
+        )
+        .unwrap();
+        writeln!(w, "{kind} trace: events={events} digest={digest:016x}").unwrap();
     }
-    let (r2, f2, rr2, dg2) = chaos_counters();
-    let (ph_events, ph_digest) = event_digest();
-    writeln!(
-        w,
-        "physical counters: media_retries={} injected={} raid_retries={} degraded_reads={}",
-        r2 - r1,
-        f2 - f1,
-        rr2 - rr1,
-        dg2 - dg1
-    )
-    .unwrap();
-    writeln!(
-        w,
-        "physical trace: events={ph_events} digest={ph_digest:016x}"
-    )
-    .unwrap();
 
-    let _ = std::fs::create_dir_all(&cfg.out_dir);
-    let path = cfg.out_dir.join(format!("chaos_seed{seed}.txt"));
-    std::fs::write(&path, &report).expect("write chaos report");
-    eprintln!("[chaos] report written to {}", path.display());
-    report
+    write_report(cfg, "chaos", report)
 }
 
 // ---------------------------------------------------------------------------
 // Crash-consistency runner (`bench crash`)
 // ---------------------------------------------------------------------------
 
-/// Config for the crash-consistency runner.
-#[derive(Debug, Clone)]
-pub struct CrashCfg {
-    /// Crash-plan + workload seed.
-    pub seed: u64,
-    /// Where `crash_seed<N>.txt` lands.
-    pub out_dir: PathBuf,
-}
-
-const CRASH_FILES: u64 = 8;
-const CRASH_OPS: usize = 16;
-const CRASH_CP_EVERY: usize = 4;
-
-fn crash_geometry() -> VolumeGeometry {
-    VolumeGeometry::uniform(2, 4, 4096, DiskPerf::ideal())
-}
-
-/// A small seeded volume for the crash scenarios: /data with a handful of
-/// files plus one multi-record file, committed.
-fn crash_base(seed: u64) -> Wafl {
-    let mut fs =
-        Wafl::format(Volume::new(crash_geometry()), WaflConfig::default()).expect("format");
-    let mut rng = SimRng::seed_from_u64(seed.wrapping_add(0xbace));
-    let data = fs
-        .create(INO_ROOT, "data", FileType::Dir, Attrs::default())
-        .expect("mkdir /data");
-    for i in 0..CRASH_FILES {
-        let f = fs
-            .create(data, &format!("f{i:02}"), FileType::File, Attrs::default())
-            .expect("create");
-        for fbn in 0..4 + rng.range(0, 4) {
-            fs.write_fbn(f, fbn, Block::Synthetic(rng.range(0, u64::MAX)))
-                .expect("write");
-        }
-    }
-    let big = fs
-        .create(data, "big", FileType::File, Attrs::default())
-        .expect("create big");
-    for fbn in 0..24 {
-        fs.write_fbn(big, fbn, Block::Synthetic(rng.range(0, u64::MAX)))
-            .expect("write big");
-    }
-    fs.cp().expect("base cp");
-    fs
-}
-
-/// Mutation `i` of the seeded op stream (deterministic given `(seed, i)`).
-fn crash_apply(fs: &mut Wafl, seed: u64, i: usize) -> Result<(), wafl::WaflError> {
-    let mut rng = SimRng::seed_from_u64(seed.wrapping_mul(1_000_003).wrapping_add(i as u64));
-    let target = format!("/data/f{:02}", rng.range(0, CRASH_FILES));
-    match i % 3 {
-        0 => {
-            let ino = fs.namei(&target)?;
-            fs.write_fbn(
-                ino,
-                rng.range(0, 4),
-                Block::Synthetic(rng.range(0, u64::MAX)),
-            )?;
-        }
-        1 => {
-            let data = fs.namei("/data")?;
-            let ino = fs.create(data, &format!("op{i:02}"), FileType::File, Attrs::default())?;
-            fs.write_fbn(ino, 0, Block::Synthetic(rng.range(0, u64::MAX)))?;
-        }
-        _ => {
-            let ino = fs.namei(&target)?;
-            fs.write_fbn(
-                ino,
-                4 + rng.range(0, 3),
-                Block::Synthetic(rng.range(0, u64::MAX)),
-            )?;
-        }
-    }
-    Ok(())
-}
+/// `bench crash`'s scenario on the shared harness: a smaller volume and
+/// a shorter, attribute-free mutation stream than the test matrix runs.
+const CRASH_SHAPE: Shape = Shape {
+    files: 8,
+    extra_blocks: 4,
+    big_blocks: 24,
+    ops: 16,
+    cp_every: 4,
+    mix: &[Mutation::Overwrite, Mutation::Create, Mutation::Extend],
+};
 
 /// The fully mutated, committed state the dump/restore scenarios use.
 fn crash_finished(seed: u64) -> Wafl {
-    let mut fs = crash_base(seed);
-    for i in 0..CRASH_OPS {
-        crash_apply(&mut fs, seed, i).expect("mutation");
-        if (i + 1) % CRASH_CP_EVERY == 0 {
-            fs.cp().expect("cp");
-        }
-    }
-    fs.cp().expect("final cp");
-    fs
+    harness::state_after(&CRASH_SHAPE, seed, CRASH_SHAPE.ops).expect("mutated state")
 }
 
-/// Reboots a crashed filer and requires a clean invariant check.
+/// Reboots a crashed filer (NVRAM intact) through the harness's
+/// invariant check.
 fn crash_reboot(fs: Wafl) -> Wafl {
-    simkit::crash::disarm();
-    let (vol, nv) = fs.crash();
-    let fs = Wafl::mount(
-        vol,
-        nv,
-        WaflConfig::default(),
-        Meter::new_shared(),
-        CostModel::zero(),
-    )
-    .expect("remount after power loss");
-    let report = wafl::check::check(&fs).expect("checker runs");
-    assert!(
-        report.is_clean(),
-        "post-crash inconsistency: {:?}",
-        report.problems
-    );
-    fs
+    harness::reboot(fs, Nvram::Replayed).expect("clean reboot after power loss")
 }
 
 fn crash_counter_state() -> (u64, u64, u64, u64) {
@@ -1357,7 +1278,7 @@ fn crash_counter_state() -> (u64, u64, u64, u64) {
 /// checkpoint resume, or rerun), verify the result bit-exactly, and
 /// report the crash/replay counters. The report — returned and written
 /// to `out_dir/crash_seed<N>.txt` — is a pure function of the seed.
-pub fn crash_consistency(cfg: &CrashCfg) -> String {
+pub fn crash_consistency(cfg: &RunCfg) -> String {
     use simkit::crash;
     use simkit::crash::CrashPlan;
     use simkit::crash::CrashPoint;
@@ -1379,24 +1300,11 @@ pub fn crash_consistency(cfg: &CrashCfg) -> String {
             _ => CrashPlan::new().trip_within(point, 4, &mut rng),
         };
         let (t0, r0, o0, _) = crash_counter_state();
-        let mut fs = crash_base(seed);
+        let mut fs = harness::base(&CRASH_SHAPE, seed).expect("base");
         crash::arm(plan);
         let mut acked = 0usize;
-        let mut died = false;
-        for i in 0..CRASH_OPS {
-            if crash_apply(&mut fs, seed, i).is_err() {
-                died = true;
-                break;
-            }
-            acked = i + 1;
-            if (i + 1) % CRASH_CP_EVERY == 0 && fs.cp().is_err() {
-                died = true;
-                break;
-            }
-        }
-        if !died {
-            died = fs.cp().is_err();
-        }
+        let died =
+            harness::mutate(&mut fs, &CRASH_SHAPE, seed, CRASH_SHAPE.ops, &mut acked).is_err();
         assert!(died, "armed mutation run must lose power");
         assert_eq!(crash::tripped(), Some(point), "wrong point tripped");
         let hits = crash::hits(point);
@@ -1454,7 +1362,7 @@ pub fn crash_consistency(cfg: &CrashCfg) -> String {
                     .run(&mut fs, &mut media, &mut scratch)
                     .expect("resumed image dump");
                 assert!(out.resumed, "second attempt must resume");
-                let mut raw = Volume::new(crash_geometry());
+                let mut raw = Volume::new(harness::geometry());
                 image_restore(&mut media, &mut raw, &fs.meter(), fs.costs())
                     .expect("image restore");
                 compare_used_blocks(&mut fs, &mut raw)
@@ -1472,8 +1380,9 @@ pub fn crash_consistency(cfg: &CrashCfg) -> String {
                 let mut fs = crash_reboot(fs);
                 job.run(&mut fs, &mut media, &mut catalog, &mut scratch)
                     .expect("resumed logical dump");
-                let mut target = Wafl::format(Volume::new(crash_geometry()), WaflConfig::default())
-                    .expect("format restore target");
+                let mut target =
+                    Wafl::format(Volume::new(harness::geometry()), WaflConfig::default())
+                        .expect("format restore target");
                 logical_restore(&mut target, &mut media, "/").expect("logical restore");
                 compare_trees(&mut fs, &mut target).expect("compare").len()
             };
@@ -1501,7 +1410,7 @@ pub fn crash_consistency(cfg: &CrashCfg) -> String {
         let (t0, _, _, _) = crash_counter_state();
         let diffs = if image {
             image_dump_full(&mut fs, &mut media, "m").expect("image dump");
-            let mut raw = Volume::new(crash_geometry());
+            let mut raw = Volume::new(harness::geometry());
             crash::arm(CrashPlan::new().trip_at(CrashPoint::Restore, nth));
             assert!(
                 image_restore(&mut media, &mut raw, &fs.meter(), fs.costs()).is_err(),
@@ -1516,7 +1425,7 @@ pub fn crash_consistency(cfg: &CrashCfg) -> String {
         } else {
             let mut catalog = DumpCatalog::new();
             dump(&mut fs, &mut media, &mut catalog, &DumpOptions::default()).expect("dump");
-            let mut target = Wafl::format(Volume::new(crash_geometry()), WaflConfig::default())
+            let mut target = Wafl::format(Volume::new(harness::geometry()), WaflConfig::default())
                 .expect("format restore target");
             crash::arm(CrashPlan::new().trip_at(CrashPoint::Restore, nth));
             assert!(
@@ -1542,14 +1451,5 @@ pub fn crash_consistency(cfg: &CrashCfg) -> String {
     let (events, digest) = event_digest();
     writeln!(w, "trace: events={events} digest={digest:016x}").unwrap();
 
-    let _ = std::fs::create_dir_all(&cfg.out_dir);
-    let path = cfg.out_dir.join(format!("crash_seed{seed}.txt"));
-    std::fs::write(&path, &report).expect("write crash report");
-    eprintln!("[crash] report written to {}", path.display());
-    report
-}
-
-/// Default output directory for all runners.
-pub fn default_out_dir() -> PathBuf {
-    Path::new("results").to_path_buf()
+    write_report(cfg, "crash", report)
 }

@@ -7,6 +7,7 @@
 
 use bench::claims;
 use bench::explain;
+use bench::runners::pipeline;
 use bench::runners::RunCfg;
 
 const SCALE: f64 = 1.0 / 1024.0;
@@ -18,8 +19,11 @@ fn explain_matches_the_paper_and_the_claims_gate() {
         scale: SCALE,
         seed: SEED,
         out_dir: std::env::temp_dir(),
+        spec_path: None,
+        target: Default::default(),
     };
-    let reports = explain::compute(&cfg, explain::Targets::parse("all").expect("target"));
+    let views = explain::views_for("all").expect("target");
+    let reports = pipeline(&cfg, &views, false).reports;
 
     // The headline attribution: the single-drive physical dump binds on
     // the tape, nearly wall to wall.

@@ -92,9 +92,9 @@ impl BackupError {
     /// error (surfaced without a retry layer in the stack) is not.
     pub fn is_transient(&self) -> bool {
         match &self.kind {
+            // The `From` impls below lift every media failure out of
+            // its strategy wrapper, so `Media` is the only place one lives.
             BackupErrorKind::Media(e) => e.is_transient(),
-            BackupErrorKind::Logical(DumpError::Media(e)) => e.is_transient(),
-            BackupErrorKind::Physical(ImageError::Media(e)) => e.is_transient(),
             BackupErrorKind::Physical(ImageError::Raid(e)) => e.is_transient(),
             _ => false,
         }
@@ -446,13 +446,6 @@ mod tests {
         let e = BackupError::from(MediaError::EndOfData);
         assert!(matches!(e.kind, BackupErrorKind::Media(_)));
         assert_eq!(e.op, "backup");
-        // Tape-specific errors reach the same place through the
-        // medium-agnostic conversion chain.
-        let e = BackupError::from(MediaError::from(tape::TapeError::EndOfData));
-        assert!(matches!(
-            e.kind,
-            BackupErrorKind::Media(MediaError::EndOfData)
-        ));
     }
 
     #[test]

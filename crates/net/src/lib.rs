@@ -18,11 +18,12 @@
 //! [`NetTarget`] itself accounts busy seconds per record — latency plus
 //! `len / bandwidth` — which the time model picks up as the link demand.
 //!
-//! Error classes mirror real replication transports: a dropped frame is
-//! transient ([`NetError::Dropped`] → `MediaError::Soft`), a link flap
-//! is transient-with-backoff ([`NetError::LinkDown`] →
-//! `MediaError::Offline`), stored corruption on the remote image is
-//! permanent ([`NetError::Corrupt`] → `MediaError::BadRecord`).
+//! Failures are the medium-agnostic [`MediaError`] classes, read as a
+//! replication transport would: a dropped frame is `Soft` and a link
+//! flap `Offline` (both transient — a fault proxy in front of the target
+//! injects them), stored corruption on the remote image is `BadRecord`
+//! (permanent), and a sender that loses power mid-transfer is
+//! `Interrupted`.
 
 use std::collections::BTreeSet;
 
@@ -96,59 +97,6 @@ impl LinkSpec {
     }
 }
 
-/// Failure classes of the replication transport.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum NetError {
-    /// The link is down (flap, reset); it comes back, so retry.
-    LinkDown,
-    /// A frame was dropped in flight; the record did not land. Retrying
-    /// resends it.
-    Dropped {
-        /// Record index the send targeted.
-        index: u64,
-    },
-    /// The record stored on the remote image is corrupt; retrying the
-    /// read returns the same damage.
-    Corrupt {
-        /// Record index in stream order.
-        index: u64,
-    },
-    /// Attempt to read past the last record replicated so far.
-    EndOfStream,
-    /// The *sending* machine lost power mid-transfer (an armed
-    /// [`simkit::crash::CrashPlan`] tripped). The record never left the
-    /// host, and no retry layer runs — the host is dead. Recovery is a
-    /// reboot and a rerun of the replication pass.
-    Interrupted,
-}
-
-impl From<NetError> for MediaError {
-    fn from(e: NetError) -> MediaError {
-        match e {
-            NetError::LinkDown => MediaError::Offline,
-            NetError::Dropped { index } => MediaError::Soft { index },
-            NetError::Corrupt { index } => MediaError::BadRecord { index },
-            NetError::EndOfStream => MediaError::EndOfData,
-            NetError::Interrupted => MediaError::Interrupted,
-        }
-    }
-}
-
-impl std::fmt::Display for NetError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            NetError::LinkDown => write!(f, "replication link down"),
-            NetError::Dropped { index } => write!(f, "frame dropped sending record {index}"),
-            NetError::Corrupt { index } => write!(f, "remote record {index} corrupt"),
-            NetError::EndOfStream => write!(f, "end of replicated stream"),
-            NetError::Interrupted => write!(f, "transfer interrupted by power loss"),
-        }
-    }
-}
-
-impl std::error::Error for NetError {}
-
 /// The remote end of a replication link: an append-only record stream
 /// reached over a [`LinkSpec`].
 ///
@@ -197,7 +145,7 @@ impl NetTarget {
     }
 
     /// Sends one record to the remote image.
-    pub fn send_record(&mut self, record: Record) -> Result<(), NetError> {
+    pub fn send_record(&mut self, record: Record) -> Result<(), MediaError> {
         // Crash point: the sending host dies mid-transfer. Nothing
         // reaches the remote image; the stream stays at its last
         // complete record, exactly like a truncated tape.
@@ -208,7 +156,7 @@ impl NetTarget {
                 if was_alive {
                     obs::counter("crash.trips").inc();
                 }
-                return Err(NetError::Interrupted);
+                return Err(MediaError::Interrupted);
             }
         }
         let len = record.len();
@@ -225,13 +173,13 @@ impl NetTarget {
     }
 
     /// Receives the next record in replication order.
-    pub fn recv_record(&mut self) -> Result<Record, NetError> {
+    pub fn recv_record(&mut self) -> Result<Record, MediaError> {
         if self.read_pos >= self.records.len() {
-            return Err(NetError::EndOfStream);
+            return Err(MediaError::EndOfData);
         }
         let index = self.read_pos as u64;
         if self.damaged.contains(&index) {
-            return Err(NetError::Corrupt { index });
+            return Err(MediaError::BadRecord { index });
         }
         let rec = self.records[self.read_pos].clone();
         self.read_pos += 1;
@@ -247,9 +195,9 @@ impl NetTarget {
 
     /// Skips the next record without transferring it (resync after
     /// remote damage: only the cursor moves, no bytes cross the wire).
-    pub fn skip_record(&mut self) -> Result<(), NetError> {
+    pub fn skip_record(&mut self) -> Result<(), MediaError> {
         if self.read_pos >= self.records.len() {
-            return Err(NetError::EndOfStream);
+            return Err(MediaError::EndOfData);
         }
         self.read_pos += 1;
         Ok(())
@@ -280,15 +228,15 @@ impl NetTarget {
 
 impl Media for NetTarget {
     fn write_record(&mut self, record: Record) -> Result<(), MediaError> {
-        Ok(self.send_record(record)?)
+        self.send_record(record)
     }
 
     fn read_record(&mut self) -> Result<Record, MediaError> {
-        Ok(self.recv_record()?)
+        self.recv_record()
     }
 
     fn skip_record(&mut self) -> Result<(), MediaError> {
-        Ok(NetTarget::skip_record(self)?)
+        NetTarget::skip_record(self)
     }
 
     fn rewind(&mut self) {
@@ -386,7 +334,7 @@ mod tests {
         for i in [0u8, 1, 2, 3, 9] {
             assert_eq!(t.recv_record().unwrap(), bytes_record(10, i));
         }
-        assert_eq!(t.recv_record().err(), Some(NetError::EndOfStream));
+        assert_eq!(t.recv_record().err(), Some(MediaError::EndOfData));
     }
 
     #[test]
@@ -406,14 +354,6 @@ mod tests {
         }
         m.skip_record().unwrap();
         assert_eq!(m.read_record().unwrap(), bytes_record(10, 2));
-    }
-
-    #[test]
-    fn error_conversion_preserves_transience() {
-        assert!(MediaError::from(NetError::LinkDown).is_transient());
-        assert!(MediaError::from(NetError::Dropped { index: 3 }).is_transient());
-        assert!(!MediaError::from(NetError::Corrupt { index: 3 }).is_transient());
-        assert!(!MediaError::from(NetError::EndOfStream).is_transient());
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! (`blockdev::FaultPlan::arm`, `tape::FaultProxy`, `raid::Volume::arm_faults`)
 //! instead of each growing its own ad-hoc knobs.
 //!
-//! The spec can be built fluently or parsed from TOML (the same dialect as
-//! `simlint.toml`):
+//! The spec can be built fluently or parsed from TOML (the workspace
+//! dialect, [`crate::toml`]):
 //!
 //! ```toml
 //! seed = 42
@@ -28,6 +28,11 @@
 //! fail_disk_after = 5000      # one member dies after 5000 block IOs
 //! reconstruct_after = 20000   # background rebuild this many IOs later
 //! ```
+
+use crate::toml;
+use crate::toml::Kind;
+use crate::toml::TomlError;
+use crate::toml::Value;
 
 /// Disk-layer faults (consumed by `blockdev`).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -128,76 +133,41 @@ impl FaultSpec {
     /// Parses a spec from the TOML dialect shown in the module docs.
     pub fn from_toml(text: &str) -> Result<FaultSpec, FaultSpecError> {
         let mut spec = FaultSpec::default();
-        let mut section = String::new();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = match raw.find('#') {
-                Some(i) => &raw[..i],
-                None => raw,
-            }
-            .trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-                section = name.trim().to_string();
-                if !matches!(section.as_str(), "disk" | "tape" | "raid") {
-                    return Err(FaultSpecError::Parse {
-                        line: lineno + 1,
-                        reason: format!("unknown section [{section}]"),
-                    });
+        let mut section = "";
+        for item in toml::items(text) {
+            let item = item?;
+            match item.kind {
+                Kind::Table(name @ ("disk" | "tape" | "raid")) => section = name,
+                Kind::Table(name) | Kind::ArrayTable(name) => {
+                    return Err(TomlError::at(
+                        item.line,
+                        format!("unknown section [{name}]"),
+                    ))
                 }
-                continue;
+                Kind::Pair(key, value) => spec
+                    .assign(section, key, &value)
+                    .map_err(|reason| TomlError::at(item.line, reason))?,
             }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(FaultSpecError::Parse {
-                    line: lineno + 1,
-                    reason: "expected `key = value`".into(),
-                });
-            };
-            let key = key.trim();
-            let value = value.trim();
-            spec.assign(&section, key, value)
-                .map_err(|reason| FaultSpecError::Parse {
-                    line: lineno + 1,
-                    reason,
-                })?;
         }
         Ok(spec)
     }
 
-    fn assign(&mut self, section: &str, key: &str, value: &str) -> Result<(), String> {
-        let float = |v: &str| -> Result<f64, String> {
-            v.parse::<f64>().map_err(|_| format!("bad number: {v}"))
-        };
-        let int = |v: &str| -> Result<u64, String> {
-            v.parse::<u64>().map_err(|_| format!("bad integer: {v}"))
-        };
-        let list = |v: &str| -> Result<Vec<u64>, String> {
-            let inner = v
-                .strip_prefix('[')
-                .and_then(|s| s.strip_suffix(']'))
-                .ok_or_else(|| format!("expected [..] list: {v}"))?;
-            inner
-                .split(',')
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .map(int)
-                .collect()
-        };
+    fn assign(&mut self, section: &str, key: &str, value: &Value) -> Result<(), String> {
+        let list = |v: &Value| v.list(Value::u64);
         match (section, key) {
-            ("", "seed") => self.seed = int(value)?,
-            ("disk", "read_soft") => self.disk.read_soft = float(value)?,
-            ("disk", "write_soft") => self.disk.write_soft = float(value)?,
+            ("", "seed") => self.seed = value.u64()?,
+            ("disk", "read_soft") => self.disk.read_soft = value.f64()?,
+            ("disk", "write_soft") => self.disk.write_soft = value.f64()?,
             ("disk", "fail_reads") => self.disk.fail_reads = list(value)?,
             ("disk", "fail_writes") => self.disk.fail_writes = list(value)?,
-            ("tape", "media_soft") => self.tape.media_soft = float(value)?,
-            ("tape", "drive_offline") => self.tape.drive_offline = float(value)?,
-            ("tape", "offline_ops") => self.tape.offline_ops = int(value)? as u32,
-            ("tape", "stacker_jam") => self.tape.stacker_jam = float(value)?,
+            ("tape", "media_soft") => self.tape.media_soft = value.f64()?,
+            ("tape", "drive_offline") => self.tape.drive_offline = value.f64()?,
+            ("tape", "offline_ops") => self.tape.offline_ops = value.u64()? as u32,
+            ("tape", "stacker_jam") => self.tape.stacker_jam = value.f64()?,
             ("tape", "hard_write_records") => self.tape.hard_write_records = list(value)?,
             ("tape", "bad_read_records") => self.tape.bad_read_records = list(value)?,
-            ("raid", "fail_disk_after") => self.raid.fail_disk_after = Some(int(value)?),
-            ("raid", "reconstruct_after") => self.raid.reconstruct_after = Some(int(value)?),
+            ("raid", "fail_disk_after") => self.raid.fail_disk_after = Some(value.u64()?),
+            ("raid", "reconstruct_after") => self.raid.reconstruct_after = Some(value.u64()?),
             _ => {
                 return Err(if section.is_empty() {
                     format!("unknown top-level key {key}")
@@ -210,30 +180,8 @@ impl FaultSpec {
     }
 }
 
-/// Errors from [`FaultSpec::from_toml`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum FaultSpecError {
-    /// A line failed to parse.
-    Parse {
-        /// 1-based line number.
-        line: usize,
-        /// What went wrong.
-        reason: String,
-    },
-}
-
-impl std::fmt::Display for FaultSpecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FaultSpecError::Parse { line, reason } => {
-                write!(f, "fault spec line {line}: {reason}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FaultSpecError {}
+/// Errors from [`FaultSpec::from_toml`]: the offending line and why.
+pub type FaultSpecError = TomlError;
 
 /// Fluent constructor for [`FaultSpec`].
 #[derive(Debug, Clone, Default)]

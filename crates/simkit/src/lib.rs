@@ -22,6 +22,8 @@
 //!   [`crash::CrashPlan`] kills the machine mid-operation so recovery
 //!   (NVRAM replay, consistency-point fallback, dump resume) can be
 //!   property-tested.
+//! - [`toml`] — the one TOML-subset parser behind `faults.toml`,
+//!   `claims.toml` and `simlint.toml`.
 //! - [`retry`] — the [`retry::RetryPolicy`] attempts/backoff schedule that
 //!   device-layer wrappers meter retries with.
 //! - [`media`] — the medium-agnostic [`media::Media`] record-stream trait
@@ -36,6 +38,7 @@ pub mod meter;
 pub mod retry;
 pub mod rng;
 pub mod stats;
+pub mod toml;
 pub mod units;
 
 /// The names almost every consumer of the toolkit wants in scope: the

@@ -8,11 +8,10 @@
 //! hoisted here so the `net` crate can implement it without depending
 //! on (or being depended on by) `tape`.
 //!
-//! Errors are the medium-agnostic [`MediaError`]. Each medium keeps its
-//! own richer error type (e.g. `tape::TapeError`) for its inherent
-//! methods and converts via `From` at the trait boundary, so the
-//! engines classify transient-vs-permanent uniformly regardless of
-//! what the bytes travelled over.
+//! Errors are the medium-agnostic [`MediaError`], which every medium's
+//! inherent methods return too, so the engines classify
+//! transient-vs-permanent uniformly regardless of what the bytes
+//! travelled over.
 
 use crate::stats::Counter;
 
@@ -113,9 +112,8 @@ impl Record {
 }
 
 /// Medium-agnostic failure classes shared by every [`Media`]
-/// implementation. Medium-specific error types (tape, net) convert into
-/// these via `From` at the trait boundary, preserving the
-/// transient-vs-permanent split the retry layer keys on.
+/// implementation, with the transient-vs-permanent split the retry
+/// layer keys on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum MediaError {
@@ -344,6 +342,7 @@ mod tests {
     #[test]
     fn display_is_informative() {
         assert!(MediaError::BadRecord { index: 7 }.to_string().contains("7"));
+        assert!(MediaError::NoMedia.to_string().contains("no medium"));
         let e = MediaError::Exhausted {
             attempts: 4,
             last: Box::new(MediaError::Offline),

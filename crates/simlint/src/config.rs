@@ -1,8 +1,11 @@
-//! `simlint.toml` parsing — a minimal TOML subset (sections, string
-//! values, single-line string arrays), hand-rolled because the hermetic
-//! build environment carries no external crates.
+//! `simlint.toml` parsing, on the workspace's TOML-subset parser
+//! ([`simkit::toml`]): two sections of single-line string arrays.
 
 use std::path::Path;
+
+use simkit::toml;
+use simkit::toml::Kind;
+use simkit::toml::TomlError;
 
 use crate::LintError;
 
@@ -98,9 +101,9 @@ impl Config {
             }
             Err(e) => return Err(LintError::io(&path, e)),
         };
-        parse(&text).map_err(|reason| LintError::Config {
+        parse(&text).map_err(|e| LintError::Config {
             path: path.display().to_string(),
-            reason,
+            reason: e.to_string(),
         })
     }
 }
@@ -120,7 +123,7 @@ impl Config {
 /// unmetered = ["SimDisk::peek"]
 /// allow = ["crates/raid/src/group.rs::materialize_parity"]
 /// ```
-fn parse(text: &str) -> Result<Config, String> {
+fn parse(text: &str) -> Result<Config, TomlError> {
     let mut config = Config {
         simulation: Vec::new(),
         metered: Vec::new(),
@@ -131,32 +134,26 @@ fn parse(text: &str) -> Result<Config, String> {
         unmetered: Vec::new(),
         unmetered_allow: Vec::new(),
     };
-    let mut section = String::new();
-    for (i, raw) in text.lines().enumerate() {
-        let line = strip_comment(raw).trim().to_string();
-        if line.is_empty() {
-            continue;
-        }
-        let lineno = i + 1;
-        if let Some(rest) = line.strip_prefix('[') {
-            section = rest
-                .strip_suffix(']')
-                .ok_or_else(|| format!("line {lineno}: unterminated section header"))?
-                .trim()
-                .to_string();
-            continue;
-        }
-        let (key, value) = line
-            .split_once('=')
-            .ok_or_else(|| format!("line {lineno}: expected `key = value`"))?;
-        if section != "crates" && section != "escape_hatch" {
-            return Err(format!(
-                "line {lineno}: unknown section [{section}] (only [crates] and [escape_hatch] are recognized)"
-            ));
-        }
-        let list = parse_string_array(value.trim())
-            .ok_or_else(|| format!("line {lineno}: expected a single-line string array"))?;
-        match (section.as_str(), key.trim()) {
+    let mut section = "";
+    for item in toml::items(text) {
+        let item = item?;
+        let err = |reason: String| TomlError::at(item.line, reason);
+        let (key, value) = match item.kind {
+            Kind::Table(name @ ("crates" | "escape_hatch")) => {
+                section = name;
+                continue;
+            }
+            Kind::Table(name) | Kind::ArrayTable(name) => {
+                return Err(err(format!(
+                    "unknown section [{name}] (only [crates] and [escape_hatch] are recognized)"
+                )))
+            }
+            Kind::Pair(key, value) => (key, value),
+        };
+        let list = value
+            .list(|v| v.str().map(str::to_string))
+            .map_err(|_| err("expected a single-line string array".into()))?;
+        match (section, key) {
             ("crates", "simulation") => config.simulation = list,
             ("crates", "metered") => config.metered = list,
             ("crates", "library") => config.library = list,
@@ -165,37 +162,10 @@ fn parse(text: &str) -> Result<Config, String> {
             ("crates", "jobs") => config.jobs = list,
             ("escape_hatch", "unmetered") => config.unmetered = list,
             ("escape_hatch", "allow") => config.unmetered_allow = list,
-            (_, other) => return Err(format!("line {lineno}: unknown key `{other}`")),
+            (_, other) => return Err(err(format!("unknown key `{other}`"))),
         }
     }
     Ok(config)
-}
-
-/// Removes a trailing `# comment`, respecting double-quoted strings.
-fn strip_comment(line: &str) -> &str {
-    let mut in_str = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_str = !in_str,
-            '#' if !in_str => return &line[..i],
-            _ => {}
-        }
-    }
-    line
-}
-
-/// Parses `["a", "b"]` into its strings.
-fn parse_string_array(value: &str) -> Option<Vec<String>> {
-    let inner = value.strip_prefix('[')?.strip_suffix(']')?;
-    let mut items = Vec::new();
-    for piece in inner.split(',') {
-        let piece = piece.trim();
-        if piece.is_empty() {
-            continue; // trailing comma
-        }
-        items.push(piece.strip_prefix('"')?.strip_suffix('"')?.to_string());
-    }
-    Some(items)
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! The tape drive and its auto-changer magazine.
 
-use crate::error::TapeError;
 use crate::media::Tape;
-use crate::record::Record;
+use simkit::media::MediaError;
+use simkit::media::Record;
 
 /// Mechanical parameters of a drive.
 #[derive(Debug, Clone, Copy)]
@@ -77,10 +77,10 @@ impl TapeDrive {
     }
 
     /// Appends one record, changing cartridges as needed.
-    pub fn write_record(&mut self, record: Record) -> Result<(), TapeError> {
+    pub fn write_record(&mut self, record: Record) -> Result<(), MediaError> {
         let len = record.len();
         if len > self.blank_capacity {
-            return Err(TapeError::EndOfMedia);
+            return Err(MediaError::EndOfMedia);
         }
         loop {
             match self.magazine[self.write_tape].append(record.clone()) {
@@ -100,7 +100,7 @@ impl TapeDrive {
                     }
                     return Ok(());
                 }
-                Err(TapeError::EndOfMedia) => {
+                Err(MediaError::EndOfMedia) => {
                     self.advance_write_tape();
                 }
                 Err(e) => return Err(e),
@@ -147,10 +147,10 @@ impl TapeDrive {
     }
 
     /// Reads the next record in magazine order.
-    pub fn read_record(&mut self) -> Result<Record, TapeError> {
+    pub fn read_record(&mut self) -> Result<Record, MediaError> {
         loop {
             if self.read_tape >= self.magazine.len() {
-                return Err(TapeError::EndOfData);
+                return Err(MediaError::EndOfData);
             }
             let tape = &self.magazine[self.read_tape];
             if self.read_pos >= tape.nrecords() {
@@ -191,8 +191,8 @@ impl TapeDrive {
                     }
                     return Ok(rec);
                 }
-                Err(TapeError::BadRecord { .. }) => {
-                    return Err(TapeError::BadRecord { index: global })
+                Err(MediaError::BadRecord { .. }) => {
+                    return Err(MediaError::BadRecord { index: global })
                 }
                 Err(e) => return Err(e),
             }
@@ -201,9 +201,9 @@ impl TapeDrive {
 
     /// Skips the next record without reading it (resync after a bad
     /// record).
-    pub fn skip_record(&mut self) -> Result<(), TapeError> {
+    pub fn skip_record(&mut self) -> Result<(), MediaError> {
         if self.read_tape >= self.magazine.len() {
-            return Err(TapeError::EndOfData);
+            return Err(MediaError::EndOfData);
         }
         if self.read_pos >= self.magazine[self.read_tape].nrecords() {
             self.read_tape += 1;
@@ -332,7 +332,7 @@ mod tests {
             let rec = d.read_record().unwrap();
             assert_eq!(rec, bytes_record(100, i));
         }
-        assert_eq!(d.read_record().err(), Some(TapeError::EndOfData));
+        assert_eq!(d.read_record().err(), Some(MediaError::EndOfData));
     }
 
     #[test]
@@ -357,7 +357,7 @@ mod tests {
         let mut d = TapeDrive::new(TapePerf::ideal(), 100);
         assert_eq!(
             d.write_record(bytes_record(200, 0)),
-            Err(TapeError::EndOfMedia)
+            Err(MediaError::EndOfMedia)
         );
     }
 
@@ -374,7 +374,7 @@ mod tests {
         }
         assert_eq!(
             d.read_record().err(),
-            Some(TapeError::BadRecord { index: 3 })
+            Some(MediaError::BadRecord { index: 3 })
         );
         // Skip the bad record and continue with the rest of the stream.
         d.skip_record().unwrap();

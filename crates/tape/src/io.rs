@@ -1,6 +1,6 @@
-//! Tape-side [`Media`] implementations.
+//! Tape-side [`Media`](simkit::media::Media) implementations.
 //!
-//! The [`Media`] trait itself now lives in [`simkit::media`] (the `net`
+//! The trait itself lives in [`simkit::media`] (the `net`
 //! crate implements the same trait for network replication targets);
 //! this module keeps the tape implementations: [`crate::drive::TapeDrive`]
 //! directly (call sites passing `&mut drive` coerce unchanged), the chaos
@@ -8,34 +8,27 @@
 //! by delegation, and [`DrivePool`] by striping records round-robin
 //! across several drives — the paper's 4-DLT parallel runs.
 //!
-//! Trait methods return the medium-agnostic
-//! [`simkit::media::MediaError`]; the drive's inherent methods keep the
-//! richer [`crate::error::TapeError`] and convert at the trait boundary
-//! via `From`.
+//! Inherent and trait methods alike return the medium-agnostic
+//! [`simkit::media::MediaError`].
 
 use simkit::media::MediaError;
 use simkit::media::MediaStats;
 
 use crate::drive::TapeDrive;
 use crate::drive::TapePerf;
-use crate::record::Record;
-
-/// The hoisted trait under its historical path. New code should import
-/// [`simkit::media::Media`] directly.
-#[deprecated(note = "the Media trait moved to simkit::media; import it from there")]
-pub use simkit::media::Media;
+use simkit::media::Record;
 
 impl simkit::media::Media for TapeDrive {
     fn write_record(&mut self, record: Record) -> Result<(), MediaError> {
-        Ok(TapeDrive::write_record(self, record)?)
+        TapeDrive::write_record(self, record)
     }
 
     fn read_record(&mut self) -> Result<Record, MediaError> {
-        Ok(TapeDrive::read_record(self)?)
+        TapeDrive::read_record(self)
     }
 
     fn skip_record(&mut self) -> Result<(), MediaError> {
-        Ok(TapeDrive::skip_record(self)?)
+        TapeDrive::skip_record(self)
     }
 
     fn rewind(&mut self) {

@@ -5,8 +5,8 @@
 //! The paper's testbed used 4 DLT-7000 drives with Breece-Hill stackers on
 //! dedicated SCSI buses. This crate models:
 //!
-//! - [`record::Record`] — the unit both backup formats write: a framed
-//!   sequence of [`record::Chunk`]s. Chunks can be literal bytes or
+//! - [`Record`] — the unit both backup formats write: a framed
+//!   sequence of [`Chunk`]s. Chunks can be literal bytes or
 //!   synthetic (seed + length), mirroring the block payload trick in
 //!   `blockdev` so paper-scale streams don't materialize gigabytes.
 //! - [`media::Tape`] — one cartridge: an append-only record sequence with a
@@ -26,22 +26,19 @@
 //! [`io::DrivePool`] striping four, a network replication target, or a
 //! chaos stack ([`chaos::RetryMedia`] over [`chaos::FaultProxy`]) that
 //! injects and absorbs deterministic faults. The trait (and the
-//! [`record::Record`] frames it moves) lived here until the `net` crate
+//! [`Record`] frames it moves) lived here until the `net` crate
 //! arrived; both are now hoisted to `simkit::media` and re-exported.
 
 pub mod chaos;
 pub mod drive;
-pub mod error;
 pub mod io;
 pub mod media;
-pub mod record;
 
 pub use chaos::FaultProxy;
 pub use chaos::RetryMedia;
 pub use drive::TapeDrive;
 pub use drive::TapePerf;
 pub use drive::TapeStats;
-pub use error::TapeError;
 pub use io::DrivePool;
 pub use media::Tape;
 pub use simkit::media::Chunk;

@@ -1,7 +1,7 @@
 //! Tape cartridges.
 
-use crate::error::TapeError;
-use crate::record::Record;
+use simkit::media::MediaError;
+use simkit::media::Record;
 
 /// One cartridge: an append-only sequence of records with a byte capacity.
 #[derive(Debug, Clone)]
@@ -52,9 +52,9 @@ impl Tape {
     }
 
     /// Appends a record if it fits.
-    pub fn append(&mut self, record: Record) -> Result<(), TapeError> {
+    pub fn append(&mut self, record: Record) -> Result<(), MediaError> {
         if record.len() > self.remaining() {
-            return Err(TapeError::EndOfMedia);
+            return Err(MediaError::EndOfMedia);
         }
         self.written_bytes += record.len();
         self.records.push(record);
@@ -63,12 +63,12 @@ impl Tape {
     }
 
     /// Reads the record at `index`.
-    pub fn record(&self, index: usize) -> Result<&Record, TapeError> {
+    pub fn record(&self, index: usize) -> Result<&Record, MediaError> {
         if index >= self.records.len() {
-            return Err(TapeError::EndOfData);
+            return Err(MediaError::EndOfData);
         }
         if self.bad[index] {
-            return Err(TapeError::BadRecord {
+            return Err(MediaError::BadRecord {
                 index: index as u64,
             });
         }
@@ -122,7 +122,7 @@ mod tests {
         t.append(Record::from_bytes(vec![0; 100])).unwrap();
         assert_eq!(
             t.append(Record::from_bytes(vec![0; 100])),
-            Err(TapeError::EndOfMedia)
+            Err(MediaError::EndOfMedia)
         );
         // A smaller record still fits.
         t.append(Record::from_bytes(vec![0; 50])).unwrap();
@@ -131,7 +131,7 @@ mod tests {
     #[test]
     fn reading_past_end_is_end_of_data() {
         let t = Tape::blank("t0", 10);
-        assert_eq!(t.record(0).err(), Some(TapeError::EndOfData));
+        assert_eq!(t.record(0).err(), Some(MediaError::EndOfData));
     }
 
     #[test]
@@ -139,7 +139,7 @@ mod tests {
         let mut t = Tape::blank("t0", 1000);
         t.append(Record::from_bytes(vec![9; 10])).unwrap();
         assert!(t.corrupt_record(0));
-        assert_eq!(t.record(0).err(), Some(TapeError::BadRecord { index: 0 }));
+        assert_eq!(t.record(0).err(), Some(MediaError::BadRecord { index: 0 }));
         assert!(!t.corrupt_record(5));
     }
 }

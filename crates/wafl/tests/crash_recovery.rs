@@ -16,29 +16,17 @@ use wafl::types::FileType;
 use wafl::types::WaflConfig;
 use wafl::types::INO_ROOT;
 use wafl::Wafl;
+use workload::crash::reboot;
+use workload::crash::Nvram;
 
 fn volume() -> Volume {
     Volume::new(VolumeGeometry::uniform(2, 4, 2048, DiskPerf::ideal()))
 }
 
+/// Every remount must yield a fully consistent image (no fsck, ever):
+/// the shared harness's reboot refuses anything else.
 fn remount(fs: Wafl) -> Wafl {
-    let (vol, nv) = fs.crash();
-    let fs = Wafl::mount(
-        vol,
-        nv,
-        WaflConfig::default(),
-        Meter::new_shared(),
-        CostModel::zero(),
-    )
-    .expect("remount after crash");
-    // Every remount must yield a fully consistent image (no fsck, ever).
-    let report = wafl::check::check(&fs).expect("checker runs");
-    assert!(
-        report.is_clean(),
-        "post-crash inconsistency: {:?}",
-        report.problems
-    );
-    fs
+    reboot(fs, Nvram::Replayed).expect("remount after crash")
 }
 
 #[test]
@@ -299,28 +287,10 @@ fn pre_post_fs() -> wafl::Wafl {
     fs
 }
 
-/// Mounts the on-disk image alone (NVRAM contents discarded), requiring a
-/// clean invariant check — the disk image must stand on its own at every
-/// crash depth.
+/// Mounts the on-disk image alone (NVRAM contents discarded) — the disk
+/// image must stand on its own at every crash depth.
 fn mount_image_only(fs: wafl::Wafl) -> wafl::Wafl {
-    simkit::crash::disarm();
-    let (vol, mut nv) = fs.crash();
-    nv.drain_for_replay();
-    let fs = Wafl::mount(
-        vol,
-        nv,
-        WaflConfig::default(),
-        Meter::new_shared(),
-        CostModel::zero(),
-    )
-    .expect("image-only mount");
-    let report = wafl::check::check(&fs).expect("checker runs");
-    assert!(
-        report.is_clean(),
-        "post-crash inconsistency: {:?}",
-        report.problems
-    );
-    fs
+    reboot(fs, Nvram::Lost).expect("image-only mount")
 }
 
 /// A power loss at *every* enumerated depth inside the consistency point

@@ -18,9 +18,14 @@
 //! [`frag::fragmentation`] measures the result, and the benchmark harness
 //! relies on it: logical dump's inode-order reads turn random exactly to
 //! the degree that aging fragmented the volume.
+//!
+//! [`crash`] is the odd one out: not a paper workload but the small seeded
+//! file system, mutation stream and checked reboot that every
+//! crash-consistency test and `bench crash` share.
 
 pub mod age;
 pub mod churn;
+pub mod crash;
 pub mod frag;
 pub mod populate;
 pub mod profile;

@@ -28,13 +28,28 @@ use wafl_backup::simkit::crash::CrashPoint;
 use wafl_backup::simkit::media::MediaError;
 use wafl_backup::simkit::media::Record;
 use wafl_backup::simkit::rng::SimRng;
-use wafl_backup::wafl::check;
 use wafl_backup::wafl::error::WaflError;
+use wafl_backup::workload::crash as harness;
+use wafl_backup::workload::crash::Mutation;
+use wafl_backup::workload::crash::Nvram;
+use wafl_backup::workload::crash::Shape;
 
 const SEEDS: u64 = 8;
-const FILES: u64 = 12;
-const N_OPS: usize = 24;
-const CP_EVERY: usize = 6;
+
+/// This matrix's scenario on the shared crash harness.
+const SHAPE: Shape = Shape {
+    files: 12,
+    extra_blocks: 5,
+    big_blocks: 20,
+    ops: 24,
+    cp_every: 6,
+    mix: &[
+        Mutation::Overwrite,
+        Mutation::Create,
+        Mutation::SetAttrs,
+        Mutation::Extend,
+    ],
+};
 
 /// Which backup engine a matrix cell exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,10 +69,6 @@ impl EngineKind {
     }
 }
 
-fn geometry() -> VolumeGeometry {
-    VolumeGeometry::uniform(2, 4, 4096, DiskPerf::ideal())
-}
-
 fn tape() -> TapeDrive {
     TapeDrive::new(TapePerf::ideal(), 1 << 30)
 }
@@ -68,128 +79,20 @@ fn cell_rng(seed: u64, point: CrashPoint, kind: EngineKind) -> SimRng {
     SimRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ tag)
 }
 
-/// A seeded base file system: /data with FILES files plus one large file,
-/// committed by a consistency point.
-fn build_base(seed: u64) -> Wafl {
-    let mut fs = Wafl::format(Volume::new(geometry()), WaflConfig::default()).expect("format");
-    let mut rng = SimRng::seed_from_u64(seed.wrapping_add(0xbace));
-    let data = fs
-        .create(INO_ROOT, "data", FileType::Dir, Attrs::default())
-        .expect("mkdir /data");
-    for i in 0..FILES {
-        let f = fs
-            .create(data, &format!("f{i:02}"), FileType::File, Attrs::default())
-            .expect("create file");
-        for fbn in 0..4 + rng.range(0, 5) {
-            fs.write_fbn(f, fbn, Block::Synthetic(rng.range(0, u64::MAX)))
-                .expect("write");
-        }
-    }
-    let big = fs
-        .create(data, "big", FileType::File, Attrs::default())
-        .expect("create big");
-    for fbn in 0..20 {
-        fs.write_fbn(big, fbn, Block::Synthetic(rng.range(0, u64::MAX)))
-            .expect("write big");
-    }
-    fs.cp().expect("base cp");
-    fs
-}
-
-/// Mutation `i` of the seeded op stream. Fully determined by `(seed, i)`
-/// and the deterministic prefix before it, so a reference rebuild replays
-/// the identical sequence.
-fn apply_op(fs: &mut Wafl, seed: u64, i: usize) -> Result<(), WaflError> {
-    let mut rng = SimRng::seed_from_u64(seed.wrapping_mul(1_000_003).wrapping_add(i as u64));
-    let target = format!("/data/f{:02}", rng.range(0, FILES));
-    match i % 4 {
-        0 => {
-            let ino = fs.namei(&target)?;
-            fs.write_fbn(
-                ino,
-                rng.range(0, 4),
-                Block::Synthetic(rng.range(0, u64::MAX)),
-            )?;
-        }
-        1 => {
-            let data = fs.namei("/data")?;
-            let ino = fs.create(data, &format!("op{i:02}"), FileType::File, Attrs::default())?;
-            fs.write_fbn(ino, 0, Block::Synthetic(rng.range(0, u64::MAX)))?;
-        }
-        2 => {
-            let ino = fs.namei(&target)?;
-            fs.set_attrs(
-                ino,
-                Attrs {
-                    perm: 0o600 | (i as u16 & 0o077),
-                    uid: rng.range(0, 100) as u32,
-                    ..Attrs::default()
-                },
-            )?;
-        }
-        _ => {
-            let ino = fs.namei(&target)?;
-            fs.write_fbn(
-                ino,
-                4 + rng.range(0, 3),
-                Block::Synthetic(rng.range(0, u64::MAX)),
-            )?;
-        }
-    }
-    Ok(())
-}
-
-/// Applies ops `[0, N_OPS)` with a consistency point every CP_EVERY ops
-/// plus a final one, tracking how many ops were acknowledged in `acked`.
-fn run_mutations(fs: &mut Wafl, seed: u64, acked: &mut usize) -> Result<(), WaflError> {
-    for i in 0..N_OPS {
-        apply_op(fs, seed, i)?;
-        *acked = i + 1;
-        if (i + 1) % CP_EVERY == 0 {
-            fs.cp()?;
-        }
-    }
-    fs.cp()
-}
-
 /// The state after exactly `nops` acknowledged operations, committed.
 fn reference_state(seed: u64, nops: usize) -> Wafl {
-    let mut fs = build_base(seed);
-    for i in 0..nops {
-        apply_op(&mut fs, seed, i).expect("reference op");
-        if (i + 1) % CP_EVERY == 0 {
-            fs.cp().expect("reference cp");
-        }
-    }
-    fs.cp().expect("reference final cp");
-    fs
+    harness::state_after(&SHAPE, seed, nops).expect("reference state")
 }
 
 /// The fully mutated state every dump/restore cell starts from.
 fn finished_state(seed: u64) -> Wafl {
-    reference_state(seed, N_OPS)
+    reference_state(seed, SHAPE.ops)
 }
 
-/// Reboots a crashed filer: disarm the (dead) machine, rebuild the object
-/// model from disk, replay NVRAM, and require a clean invariant check.
+/// Reboots a crashed filer with its NVRAM intact; the harness refuses an
+/// image that fails the invariant check.
 fn reboot(fs: Wafl) -> Wafl {
-    crash::disarm();
-    let (vol, nv) = fs.crash();
-    let fs = Wafl::mount(
-        vol,
-        nv,
-        WaflConfig::default(),
-        Meter::new_shared(),
-        CostModel::zero(),
-    )
-    .expect("remount after power loss");
-    let report = check::check(&fs).expect("checker runs");
-    assert!(
-        report.is_clean(),
-        "post-crash inconsistency: {:?}",
-        report.problems
-    );
-    fs
+    harness::reboot(fs, Nvram::Replayed).expect("clean reboot after power loss")
 }
 
 /// Reads a whole stream back as records (framing included).
@@ -224,7 +127,7 @@ fn assert_stream_matches_uninterrupted(media: &mut dyn Media, reference: &mut dy
 /// Image-engine ground truth: the stream restores onto a raw volume that
 /// carries every used block of the source, bit for bit.
 fn assert_image_restores_exactly(fs: &mut Wafl, media: &mut dyn Media) -> u64 {
-    let mut raw = Volume::new(geometry());
+    let mut raw = Volume::new(harness::geometry());
     let meter = Meter::new_shared();
     let out = image_restore(media, &mut raw, &meter, &CostModel::zero()).expect("image restore");
     let diffs = compare_used_blocks(fs, &mut raw).expect("block compare");
@@ -238,7 +141,8 @@ fn assert_image_restores_exactly(fs: &mut Wafl, media: &mut dyn Media) -> u64 {
 /// Logical-engine ground truth: the stream restores into a fresh file
 /// system whose tree (names, attrs, data, links) matches the source.
 fn assert_logical_restores_exactly(fs: &mut Wafl, media: &mut dyn Media) -> u64 {
-    let mut fs2 = Wafl::format(Volume::new(geometry()), WaflConfig::default()).expect("format");
+    let mut fs2 =
+        Wafl::format(Volume::new(harness::geometry()), WaflConfig::default()).expect("format");
     let out = restore(&mut fs2, media, "/").expect("logical restore");
     let diffs = compare_trees(fs, &mut fs2).expect("tree compare");
     assert!(diffs.is_empty(), "restored tree differs: {diffs:?}");
@@ -277,10 +181,10 @@ fn mutation_cell(point: CrashPoint, kind: EngineKind, seed: u64) -> String {
         other => panic!("not a mutation-phase point: {other}"),
     };
 
-    let mut fs = build_base(seed);
+    let mut fs = harness::base(&SHAPE, seed).expect("base");
     crash::arm(plan);
     let mut k = 0usize;
-    let res = run_mutations(&mut fs, seed, &mut k);
+    let res = harness::mutate(&mut fs, &SHAPE, seed, SHAPE.ops, &mut k);
     assert!(
         matches!(res, Err(WaflError::PowerLoss { .. })),
         "armed mutation run must die of power loss, got {res:?}"
@@ -299,7 +203,7 @@ fn mutation_cell(point: CrashPoint, kind: EngineKind, seed: u64) -> String {
     {
         "pre-op"
     } else {
-        let mut ref_k1 = reference_state(seed, (k + 1).min(N_OPS));
+        let mut ref_k1 = reference_state(seed, (k + 1).min(SHAPE.ops));
         let diffs = compare_trees(&mut fs, &mut ref_k1).expect("compare vs state_k+1");
         assert!(
             diffs.is_empty(),
@@ -423,7 +327,7 @@ fn restore_cell(kind: EngineKind, seed: u64) -> String {
         EngineKind::Image => {
             image_dump_full(&mut fs, &mut media, "m").expect("image dump");
             let nth = 1 + rng.range(0, 6);
-            let mut raw = Volume::new(geometry());
+            let mut raw = Volume::new(harness::geometry());
             let meter = Meter::new_shared();
             crash::arm(CrashPlan::new().trip_at(CrashPoint::Restore, nth));
             let err = image_restore(&mut media, &mut raw, &meter, &CostModel::zero());
@@ -441,8 +345,8 @@ fn restore_cell(kind: EngineKind, seed: u64) -> String {
             let mut catalog = DumpCatalog::new();
             dump(&mut fs, &mut media, &mut catalog, &DumpOptions::default()).expect("logical dump");
             let nth = 1 + rng.range(0, 8);
-            let mut fs2 =
-                Wafl::format(Volume::new(geometry()), WaflConfig::default()).expect("format");
+            let mut fs2 = Wafl::format(Volume::new(harness::geometry()), WaflConfig::default())
+                .expect("format");
             crash::arm(CrashPlan::new().trip_at(CrashPoint::Restore, nth));
             let err = restore(&mut fs2, &mut media, "/");
             assert!(err.is_err(), "armed restore must fail, got {:?}", err.err());
@@ -552,7 +456,7 @@ fn replay_is_deterministic_per_seed() {
 fn mirror_sync_recovers_from_net_crash() {
     for seed in 0..4 {
         let mut src = finished_state(seed);
-        let mut dst = Volume::new(geometry());
+        let mut dst = Volume::new(harness::geometry());
         let mut channel = NetTarget::new(LinkSpec::gbit1());
         let mut mirror = Mirror::new();
         let meter = Meter::new_shared();
@@ -582,12 +486,12 @@ fn crash_counters_surface_trips_and_replays() {
     let replays0 = obs::counter("crash.replays").get();
     let replayed0 = obs::counter("crash.replayed_ops").get();
 
-    let mut fs = build_base(7);
+    let mut fs = harness::base(&SHAPE, 7).expect("base");
     // Trip the very first consistency-point commit after arming: the ops
     // logged since the previous CP are in NVRAM and must be replayed.
     crash::arm(CrashPlan::new().trip_at(CrashPoint::CpCommit, 1));
     let mut k = 0usize;
-    let res = run_mutations(&mut fs, 7, &mut k);
+    let res = harness::mutate(&mut fs, &SHAPE, 7, SHAPE.ops, &mut k);
     assert!(res.is_err());
     let fs = reboot(fs);
     drop(fs);
@@ -599,7 +503,7 @@ fn crash_counters_surface_trips_and_replays() {
     );
     assert_eq!(obs::counter("crash.replays").get(), replays0 + 1);
     assert!(
-        obs::counter("crash.replayed_ops").get() >= replayed0 + CP_EVERY as u64,
+        obs::counter("crash.replayed_ops").get() >= replayed0 + SHAPE.cp_every as u64,
         "the ops logged before the tripped CP must all replay"
     );
 }
