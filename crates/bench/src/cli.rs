@@ -8,15 +8,20 @@
 //! [`crate::pool`], so thread-local obs state is always virgin and a
 //! parallel `bench all --jobs 8` writes byte-identical artifacts and
 //! stdout to a serial run. (Host wall-clock is measured from outside, by
-//! `benchmarks/run.sh`; stdout stays deterministic.)
+//! `benchmarks/run.sh`; stdout stays deterministic.) The jobs of one
+//! command line are handed one [`PassCell`], the single thing they share:
+//! in `bench all`, `tables` measures the `home` volume and `net` renders
+//! from the same pass instead of building it again.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use crate::pool;
 use crate::pool::Job;
 use crate::pool::JobResult;
 use crate::runners::Experiment;
+use crate::runners::PassCell;
 use crate::runners::RunCfg;
 use crate::runners::EXPERIMENTS;
 
@@ -133,14 +138,16 @@ fn parse_args(args: &[String], allowed: &[&str], positionals: usize) -> Result<A
     Ok(a)
 }
 
-/// One job running `exp` with the flags in `a` and the given seed.
-fn job(exp: &'static Experiment, a: &Args, seed: u64) -> Job {
+/// One job running `exp` with the flags in `a` and the given seed,
+/// sharing `pass` with the other jobs of its command line.
+fn job(exp: &'static Experiment, a: &Args, seed: u64, pass: &Arc<PassCell>) -> Job {
     let cfg = RunCfg {
         scale: a.scale.unwrap_or(exp.scale),
         seed,
         out_dir: a.out_dir(),
         spec_path: a.spec.clone(),
         target: a.target.unwrap_or_default(),
+        pass: Arc::clone(pass),
     };
     Job {
         label: if exp.per_seed {
@@ -162,10 +169,11 @@ pub fn all_jobs(scale: Option<f64>, seed: Option<u64>, out_dir: &std::path::Path
         out_dir: Some(out_dir.to_path_buf()),
         ..Args::default()
     };
+    let pass = Arc::default();
     EXPERIMENTS
         .iter()
         .filter(|e| e.in_all)
-        .map(|e| job(e, &a, seed.unwrap_or(1999)))
+        .map(|e| job(e, &a, seed.unwrap_or(1999), &pass))
         .collect()
 }
 
@@ -182,8 +190,12 @@ fn jobs_for(name: &str, a: &Args) -> Result<Vec<Job>, String> {
         }
         None => vec![a.seed.unwrap_or(1999)],
     };
+    let pass = Arc::default();
     match exp {
-        Some(exp) => Ok(seeds.into_iter().map(|seed| job(exp, a, seed)).collect()),
+        Some(exp) => Ok(seeds
+            .into_iter()
+            .map(|seed| job(exp, a, seed, &pass))
+            .collect()),
         None if name == "all" => Ok(all_jobs(a.scale, a.seed, &a.out_dir())),
         None => Err(format!("unknown experiment {name:?}")),
     }

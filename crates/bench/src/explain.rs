@@ -7,10 +7,10 @@
 //!
 //! A target is any experiment with an attributable view (see
 //! [`targets`]), `sweep`, or `all`. The subcommand runs the same
-//! [`pipeline`] the table runners select from (one volume build,
-//! untraced), prints the per-stream bottleneck timelines folded from the
-//! solver's binding records ([`obs::attrib`]), and writes the
-//! machine-readable artifacts:
+//! [`pipeline`] the table runners select from (one measured pass,
+//! untraced, on the calling thread), prints the per-stream bottleneck
+//! timelines folded from the solver's binding records ([`obs::attrib`]),
+//! and writes the machine-readable artifacts:
 //!
 //! - `results/ATTRIB_<table>.json` per requested table (the `net`
 //!   target produces "table_net", per-cell `"<op> @ <target>"` labels),
@@ -29,7 +29,6 @@
 
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 use obs::attrib::SweepPoint;
@@ -43,6 +42,8 @@ use crate::claims;
 use crate::cli::Args;
 use crate::experiments::run_parallel;
 use crate::experiments::FunctionalRuns;
+use crate::obsout::write_text;
+use crate::obsout::wrote;
 use crate::runners::pipeline;
 use crate::runners::Experiment;
 use crate::runners::RunCfg;
@@ -233,17 +234,16 @@ pub fn render(reports: &Reports) -> String {
     out
 }
 
-/// Writes the `ATTRIB_*.json` artifacts for every computed report.
+/// Writes the `ATTRIB_*.json` artifacts for every computed report; a
+/// write that fails fails the run ([`wrote`]).
 pub fn emit(out_dir: &Path, reports: &Reports) {
-    let emitted = |r: std::io::Result<PathBuf>| match r {
-        Ok(p) => eprintln!("[bench] wrote {}", p.display()),
-        Err(e) => eprintln!("[bench] could not write attribution artifact: {e}"),
-    };
     for r in reports.tables.values() {
-        emitted(r.write(out_dir));
+        let name = format!("ATTRIB_{}.json", r.experiment);
+        wrote(&name, out_dir, r.write(out_dir));
     }
     for s in reports.sweeps.values() {
-        emitted(s.write(out_dir));
+        let name = format!("ATTRIB_{}.json", s.experiment);
+        wrote(&name, out_dir, s.write(out_dir));
     }
 }
 
@@ -260,12 +260,8 @@ fn emit_openmetrics(out_dir: &Path, reports: &Reports) {
         &obs::metrics::histogram_snapshots(),
         &gauges,
     );
-    let _ = std::fs::create_dir_all(out_dir);
-    let path = out_dir.join("metrics_explain.om");
-    match std::fs::write(&path, text) {
-        Ok(()) => eprintln!("[bench] wrote {}", path.display()),
-        Err(e) => eprintln!("[bench] could not write {}: {e}", path.display()),
-    }
+    let name = "metrics_explain.om";
+    wrote(name, out_dir, write_text(out_dir, name, text));
 }
 
 /// CLI entry point for `bench explain`. Exit codes: 0 = rendered (and
@@ -286,13 +282,13 @@ pub fn run(a: &Args) -> Result<ExitCode, String> {
         None => None,
     };
 
-    let cfg = RunCfg {
-        scale: a.scale.unwrap_or(TABLE_SCALE),
-        seed: a.seed.unwrap_or(1999),
-        out_dir: a.out_dir(),
-        spec_path: None,
-        target: backup_core::Target::default(),
-    };
+    // The pass is measured here, on this thread: `emit_openmetrics` below
+    // reads the registry the functional pass filled.
+    let cfg = RunCfg::new(
+        a.scale.unwrap_or(TABLE_SCALE),
+        a.seed.unwrap_or(1999),
+        &a.out_dir(),
+    );
     let reports = pipeline(&cfg, &views, false).reports;
     print!("{}", render(&reports));
     emit(&cfg.out_dir, &reports);

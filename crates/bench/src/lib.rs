@@ -27,7 +27,10 @@
 //! runs the whole matrix on a deterministic thread pool ([`pool`]) —
 //! every experiment on a fresh thread with virgin thread-local obs state,
 //! outputs printed in submission order, so parallel artifacts are
-//! byte-identical to serial ones.
+//! byte-identical to serial ones. The pipeline jobs of one invocation
+//! (`tables`, `net`) share one measured-and-solved pass
+//! ([`runners::PassCell`]): like the paper, one installation measured
+//! once, every table read off it.
 
 pub mod build;
 pub mod calibrate;

@@ -12,6 +12,10 @@
 //! numbers. Trace events recorded during the functional pass are mapped
 //! onto the same axis by [`obs::event::assign_times`].
 
+use std::io;
+use std::path::Path;
+use std::path::PathBuf;
+
 use obs::timeline::TimelineSample;
 use obs::Span;
 use obs::TimedEvent;
@@ -146,29 +150,43 @@ pub fn assemble_sim_only(experiment: &str, ops: &[(&str, &SimOp)]) -> obs::Artif
     artifact(experiment, spans, timelines)
 }
 
+/// Logs the file `name` under `dir` as written — or ends the job: a run
+/// with a file missing must not pass for one that succeeded, so a failed
+/// write panics (a non-zero exit through the pool) with the path and the
+/// io error.
+pub(crate) fn wrote(name: &str, dir: &Path, result: io::Result<PathBuf>) {
+    match result {
+        Ok(path) => eprintln!("[obs] wrote {}", path.display()),
+        Err(e) => panic!("could not write {}: {e}", dir.join(name).display()),
+    }
+}
+
+/// Writes `text` as `dir/name`, creating `dir` if needed.
+pub(crate) fn write_text(dir: &Path, name: &str, text: String) -> io::Result<PathBuf> {
+    let path = dir.join(name);
+    std::fs::create_dir_all(dir)?;
+    std::fs::write(&path, text)?;
+    Ok(path)
+}
+
 /// Writes the artifact under `dir`, logging to stderr only (stdout is
 /// reserved for the table text the acceptance checks diff).
-pub fn emit_to(dir: &std::path::Path, artifact: &obs::Artifact) {
-    match artifact.write(dir) {
-        Ok(path) => eprintln!("[obs] wrote {}", path.display()),
-        Err(e) => eprintln!("[obs] could not write artifact: {e}"),
-    }
+pub fn emit_to(dir: &Path, artifact: &obs::Artifact) {
+    let name = format!("obs_{}.json", artifact.experiment);
+    wrote(&name, dir, artifact.write(dir));
 }
 
 /// Writes `<dir>/trace_<experiment>.json` — the Chrome/Perfetto trace
 /// for the artifact plus its timed events.
-pub fn emit_trace_to(dir: &std::path::Path, artifact: &obs::Artifact, events: &[TimedEvent]) {
+pub fn emit_trace_to(dir: &Path, artifact: &obs::Artifact, events: &[TimedEvent]) {
     let doc = obs::export::chrome_trace(
         &artifact.experiment,
         &artifact.spans,
         events,
         &artifact.timelines,
     );
-    let path = dir.join(format!("trace_{}.json", artifact.experiment));
+    let name = format!("trace_{}.json", artifact.experiment);
     let mut text = doc.render();
     text.push('\n');
-    match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, text)) {
-        Ok(()) => eprintln!("[obs] wrote {}", path.display()),
-        Err(e) => eprintln!("[obs] could not write trace: {e}"),
-    }
+    wrote(&name, dir, write_text(dir, &name, text));
 }

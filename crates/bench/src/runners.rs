@@ -8,9 +8,19 @@
 //! run on fresh threads (virgin thread-local obs state, exactly like a
 //! standalone process) and the harness prints the returned text in
 //! submission order, so `--jobs N` output is byte-identical to serial.
+//!
+//! The one deliberate exception to "every job starts from nothing": the
+//! pipeline jobs of one invocation share one [`Pass`] through
+//! [`RunCfg::pass`]. Whichever of them runs first measures and solves on
+//! its own fresh thread; the others only render and emit from the result,
+//! which is immutable by then and carries that thread's obs snapshot
+//! inside its assembled artifacts — so what they write is what they would
+//! have written after rebuilding the volume themselves.
 
 use std::fmt::Write as _;
+use std::path::Path;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use backup_core::engine::BackupEngine;
 use backup_core::engine::LogicalEngine;
@@ -74,9 +84,13 @@ use crate::experiments::run_net;
 use crate::experiments::run_parallel;
 use crate::experiments::run_scaling;
 use crate::experiments::simulate_op;
+use crate::experiments::BasicResults;
 use crate::experiments::NetResults;
+use crate::experiments::ParallelResults;
+use crate::experiments::ScalePoint;
 use crate::explain::Reports;
 use crate::obsout;
+use crate::pool::OnceMap;
 use crate::tables::render_parallel_summary;
 use crate::tables::render_scaling;
 use crate::tables::render_stage_table;
@@ -100,6 +114,25 @@ pub struct RunCfg {
     pub spec_path: Option<String>,
     /// The medium faults are injected in front of (`--target`).
     pub target: backup_core::Target,
+    /// The measured passes the pipeline jobs of this invocation share:
+    /// clones of one `RunCfg` (and configurations built around the same
+    /// `Arc`) measure each `(scale, seed, traced)` once between them.
+    pub pass: Arc<PassCell>,
+}
+
+impl RunCfg {
+    /// A run at `scale` and `seed` writing under `out_dir`, against tape,
+    /// with no fault-spec override and passes of its own.
+    pub fn new(scale: f64, seed: u64, out_dir: &Path) -> RunCfg {
+        RunCfg {
+            scale,
+            seed,
+            out_dir: out_dir.to_path_buf(),
+            spec_path: None,
+            target: backup_core::Target::default(),
+            pass: Arc::default(),
+        }
+    }
 }
 
 /// One experiment the `bench` command line offers. [`EXPERIMENTS`] is the
@@ -232,20 +265,62 @@ const TABLE3_TITLE: &str = "Table 3: Dump and Restore Details (188 GB home, 1 DL
 const TABLE4_TITLE: &str = "Table 4: Parallel Backup and Restore Performance on 2 tape drives";
 const TABLE5_TITLE: &str = "Table 5: Parallel Backup and Restore Performance on 4 tape drives";
 
-/// The one path from a volume to a table: prepare (build `home`, run the
-/// functional pass) → solve → render → emit, for whichever `views` the
-/// caller selects, all off one volume build.
+/// Everything one measured pass over `home` solved, as plain data: the
+/// volume and the functional runs are gone, and each artifact already
+/// holds the obs snapshot of the thread that measured it.
+#[derive(Debug)]
+pub struct Pass {
+    basic: BasicResults,
+    table4: ParallelResults,
+    table5: ParallelResults,
+    scaling: Vec<ScalePoint>,
+    net: NetResults,
+    sweep: obs::SweepReport,
+}
+
+/// The passes of one invocation, keyed by `(scale.to_bits(), seed,
+/// traced)`: a job can only ever be served the pass it would have measured
+/// itself.
+pub type PassCell = OnceMap<(u64, u64, bool), Pass>;
+
+/// Builds `home`, runs the functional pass (traced or not) and solves
+/// everything any view shows — the solves together cost milliseconds
+/// against the seconds of the build, and none of them touches obs state,
+/// so every artifact sees the metrics snapshot the functional pass left.
+fn measure(scale: f64, seed: u64, traced: bool) -> Pass {
+    if traced {
+        obs::event::enable(obs::event::EventConfig::default());
+    }
+    let model = FilerModel::f630();
+    let (mut home, runs) = prepare(scale, seed);
+    Pass {
+        basic: run_basic(&mut home, &runs, &model),
+        table4: run_parallel(&mut home, &runs, &model, 2),
+        table5: run_parallel(&mut home, &runs, &model, 4),
+        scaling: run_scaling(&mut home, &runs, &model),
+        net: run_net(&mut home, &runs, &model),
+        sweep: crate::explain::sweep(&mut home, &runs, &model),
+    }
+}
+
+/// The one path from a volume to a table, in two steps: measure and solve
+/// once ([`measure`], by the first job of the invocation to need this
+/// scale, seed and tracing; see [`RunCfg::pass`]), then render and emit
+/// whichever `views` the caller selects.
 ///
-/// With `obs` set the functional pass is traced and every solved table
-/// leaves its `obs_<name>.json` (Tables 2–5 also their Chrome trace,
+/// With `traced` set the functional pass records events and every selected
+/// table leaves its `obs_<name>.json` (Tables 2–5 also their Chrome trace,
 /// `trace_<name>.json`) under `cfg.out_dir`; `bench explain` passes
-/// `false` and reads only the returned reports. The sims
-/// downstream of [`prepare`] never touch obs state, so every artifact
-/// sees the identical metrics snapshot whichever selection emitted it.
-pub fn pipeline(cfg: &RunCfg, views: &[View], obs: bool) -> Product {
+/// `false` and reads only the returned reports.
+pub fn pipeline(cfg: &RunCfg, views: &[View], traced: bool) -> Product {
+    let key = (cfg.scale.to_bits(), cfg.seed, traced);
+    let pass = cfg
+        .pass
+        .get_or_build(key, || measure(cfg.scale, cfg.seed, traced));
+
     let want = |v: View| views.contains(&v);
     let emit = |name: &str, artifact: &obs::Artifact, trace: Option<&[obs::TimedEvent]>| {
-        if !obs {
+        if !traced {
             return;
         }
         let mut artifact = artifact.clone();
@@ -262,60 +337,57 @@ pub fn pipeline(cfg: &RunCfg, views: &[View], obs: bool) -> Product {
         };
         reports.tables.insert(name.to_string(), report);
     }
-
-    if obs {
-        obs::event::enable(obs::event::EventConfig::default());
-    }
-    let model = FilerModel::f630();
-    let (mut home, runs) = prepare(cfg.scale, cfg.seed);
     let mut text = String::new();
     let mut reports = Reports::default();
 
-    if want(View::Table2) || want(View::Table3) {
-        let basic = run_basic(&mut home, &runs, &model);
-        for v in [View::Table2, View::Table3] {
-            if !want(v) {
-                continue;
-            }
-            text.push_str(&match v {
-                View::Table2 => render_table2(&basic),
-                _ => render_stage_table(TABLE3_TITLE, &basic.table3, PAPER_TABLE3, false),
-            });
-            emit(v.name(), &basic.obs, Some(&basic.trace_events));
-            attribute(&mut reports, v.name(), &basic.attribs);
+    let basic = &pass.basic;
+    for v in [View::Table2, View::Table3] {
+        if !want(v) {
+            continue;
         }
-        // Both single-drive tables together are the whole basic suite:
-        // its artifact also goes out under the suite's own name.
-        if want(View::Table2) && want(View::Table3) {
-            emit("all", &basic.obs, None);
-        }
+        text.push_str(&match v {
+            View::Table2 => render_table2(basic),
+            _ => render_stage_table(TABLE3_TITLE, &basic.table3, PAPER_TABLE3, false),
+        });
+        emit(v.name(), &basic.obs, Some(&basic.trace_events));
+        attribute(&mut reports, v.name(), &basic.attribs);
     }
-    for (v, drives, title, paper) in [
-        (View::Table4, 2, TABLE4_TITLE, PAPER_TABLE4),
-        (View::Table5, 4, TABLE5_TITLE, PAPER_TABLE5),
+    // Both single-drive tables together are the whole basic suite: its
+    // artifact also goes out under the suite's own name.
+    if want(View::Table2) && want(View::Table3) {
+        emit("all", &basic.obs, None);
+    }
+    for (v, r, title, paper) in [
+        (View::Table4, &pass.table4, TABLE4_TITLE, PAPER_TABLE4),
+        (View::Table5, &pass.table5, TABLE5_TITLE, PAPER_TABLE5),
     ] {
         if !want(v) {
             continue;
         }
-        let r = run_parallel(&mut home, &runs, &model, drives);
         text.push_str(&render_stage_table(title, &r.rows, paper, true));
-        text.push_str(&render_parallel_summary(&r));
+        text.push_str(&render_parallel_summary(r));
         emit(v.name(), &r.obs, Some(&[]));
         attribute(&mut reports, v.name(), &r.attribs);
     }
     if want(View::Scaling) {
-        text.push_str(&render_scaling(&run_scaling(&mut home, &runs, &model)));
+        text.push_str(&render_scaling(&pass.scaling));
     }
     if want(View::Net) {
-        let r = run_net(&mut home, &runs, &model);
-        text.push_str(&render_net(&r));
+        let r = &pass.net;
+        text.push_str(&render_net(r));
         emit(&r.obs.experiment, &r.obs, None);
-        reports.tables.insert(r.table.experiment.clone(), r.table);
-        reports.sweeps.insert(r.sweep.experiment.clone(), r.sweep);
+        reports
+            .tables
+            .insert(r.table.experiment.clone(), r.table.clone());
+        reports
+            .sweeps
+            .insert(r.sweep.experiment.clone(), r.sweep.clone());
     }
     if want(View::Sweep) {
-        let sweep = crate::explain::sweep(&mut home, &runs, &model);
-        reports.sweeps.insert(sweep.experiment.clone(), sweep);
+        let sweep = &pass.sweep;
+        reports
+            .sweeps
+            .insert(sweep.experiment.clone(), sweep.clone());
     }
     Product { text, reports }
 }
@@ -326,10 +398,10 @@ fn view(cfg: &RunCfg, view: View) -> String {
 }
 
 /// The whole table 2–5 suite plus the §5.3 scaling figure off **one**
-/// volume build and one functional pass, emitting the same obs artifacts
-/// the standalone table runs would, byte for byte — and the `ATTRIB_*`
-/// reports `bench explain` writes, so the parallel-determinism net covers
-/// them on every `bench all`.
+/// measured pass, emitting the same obs artifacts the standalone table
+/// runs would, byte for byte — and the `ATTRIB_*` reports `bench explain`
+/// writes, so the parallel-determinism net covers them on every
+/// `bench all`.
 pub fn tables(cfg: &RunCfg) -> String {
     let views = [
         View::Table2,
@@ -347,7 +419,8 @@ pub fn tables(cfg: &RunCfg) -> String {
 /// The tape-vs-network crossover table: every operation against a DLT
 /// drive and each preset link, with per-cell bottleneck attribution and
 /// the link-bandwidth sweep's detected crossovers (and both as `ATTRIB_*`
-/// reports).
+/// reports). After `tables` in one `bench all` this is emission only: the
+/// pass is already there.
 pub fn net(cfg: &RunCfg) -> String {
     let product = pipeline(cfg, &[View::Net], true);
     crate::explain::emit(&cfg.out_dir, &product.reports);
@@ -1452,4 +1525,28 @@ pub fn crash_consistency(cfg: &RunCfg) -> String {
     writeln!(w, "trace: events={events} digest={digest:016x}").unwrap();
 
     write_report(cfg, "crash", report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn pipeline_calls_on_one_cfg_measure_once_per_key() {
+        let cfg = RunCfg::new(1.0 / 1024.0, 7, &std::env::temp_dir());
+        let net = pipeline(&cfg, &[View::Net], false);
+        assert!(net.text.contains("tape vs. network"));
+        assert!(net.reports.tables.contains_key("table_net"));
+
+        // The pass is under the key this configuration stands for, so a
+        // second selection renders without building anything.
+        let key = (cfg.scale.to_bits(), cfg.seed, false);
+        let pass = cfg
+            .pass
+            .get_or_build(key, || panic!("the first call left no pass under its key"));
+        let both = pipeline(&cfg, &[View::Table2, View::Net], false);
+        assert!(both.text.ends_with(&net.text), "same pass, same net table");
+        let same = cfg.pass.get_or_build(key, || panic!("measured twice"));
+        assert!(Arc::ptr_eq(&pass, &same));
+    }
 }

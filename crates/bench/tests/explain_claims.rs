@@ -15,13 +15,7 @@ const SEED: u64 = 1999;
 
 #[test]
 fn explain_matches_the_paper_and_the_claims_gate() {
-    let cfg = RunCfg {
-        scale: SCALE,
-        seed: SEED,
-        out_dir: std::env::temp_dir(),
-        spec_path: None,
-        target: Default::default(),
-    };
+    let cfg = RunCfg::new(SCALE, SEED, &std::env::temp_dir());
     let views = explain::views_for("all").expect("target");
     let reports = pipeline(&cfg, &views, false).reports;
 
